@@ -24,6 +24,7 @@ from .engine import (
     read_results_csv,
     write_results_csv,
     PointEstimate,
+    wilson_interval,
 )
 from .faulttol import (
     ScheduleSearchError,
@@ -33,7 +34,7 @@ from .faulttol import (
     verify_unique_syndromes,
 )
 from .gf2 import rank
-from .scheduling import load_schedule, save_schedule, verify_properness
+from .scheduling import CnotSchedule, load_schedule, save_schedule, verify_properness
 
 EXIT_VERIFICATION_FAILURE = 1
 
@@ -70,11 +71,19 @@ def _resolve_code(code_name: str | None, complex_file: str | None) -> CssCode:
     return get_builtin_code(code_name)
 
 
-def _resolve_schedule(code: CssCode, code_name: str | None, schedule_path: str | None, retries: int):
-    if schedule_path is not None:
+def _load_schedule(code: CssCode, schedule_path: str) -> CnotSchedule:
+    """A schedule file checked against the code; a bad file is a usage error."""
+    try:
         schedule = load_schedule(schedule_path)
         schedule.validate_against(code)
-        return schedule
+    except ValueError as exc:  # includes ScheduleError
+        raise click.UsageError(f"bad schedule file {schedule_path}: {exc}") from None
+    return schedule
+
+
+def _resolve_schedule(code: CssCode, code_name: str | None, schedule_path: str | None, retries: int):
+    if schedule_path is not None:
+        return _load_schedule(code, schedule_path)
     if code_name is not None:
         return builtin_schedule(code_name)
     return find_fault_tolerant_schedule(code, retries=retries).schedule
@@ -173,8 +182,7 @@ def schedule_build(code_name, complex_file, mode, retries, out):
 def schedule_verify(code_name, complex_file, schedule_path):
     """Check validity, properness and syndrome uniqueness of a schedule file."""
     c = _resolve_code(code_name, complex_file)
-    sched = load_schedule(schedule_path)
-    sched.validate_against(c)
+    sched = _load_schedule(c, schedule_path)
     click.echo(f"validity: ok ({sched.steps} steps, mode {sched.mode})")
     prop = verify_properness(c, sched)
     click.echo(f"properness: {'ok' if prop.ok else 'FAIL'}")
@@ -284,6 +292,12 @@ def _p_option(f):
     )(f)
 
 
+def _check_ps(ps) -> None:
+    for p in ps:
+        if not 0.0 < p < 1.0:
+            raise click.UsageError(f"--p must be in (0, 1), got {p}")
+
+
 @sim.command("exrec")
 @_code_options
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
@@ -297,9 +311,7 @@ def _p_option(f):
 def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads, retries,
               single_unit, out):
     """Estimate the logical failure rate of the exRec (or a single EC unit)."""
-    for p in ps:
-        if not 0.0 < p < 1.0:
-            raise click.UsageError(f"--p must be in (0, 1), got {p}")
+    _check_ps(ps)
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
@@ -330,19 +342,17 @@ def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads,
 def sim_lifetime(code_name, complex_file, schedule_path, ps, trials, rounds_max, seed,
                  retries, out):
     """Mean EC rounds an encoded memory survives, carrying residuals forward."""
+    _check_ps(ps)
+    if trials < 1:
+        raise click.UsageError("--trials must be >= 1")
     if rounds_max < 3:
         raise click.UsageError("--rounds-max must be >= 3")
     c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
     rows = []
     for p in ps:
-        if not 0.0 < p < 1.0:
-            raise click.UsageError(f"--p must be in (0, 1), got {p}")
         summary = simulator.estimate_lifetime(NoiseModel(p), trials, seed, rounds_max)
         frac = summary.failures / summary.trajectories
-        lo, hi = (0.0, 1.0)
-        if summary.trajectories > 0:
-            from .engine import wilson_interval
-            lo, hi = wilson_interval(summary.failures, summary.trajectories)
+        lo, hi = wilson_interval(summary.failures, summary.trajectories)
         click.echo(
             f"p={p:g} trajectories={summary.trajectories} mean_rounds={summary.mean_rounds:.1f} "
             f"failed={summary.failures} censored={summary.censored}"

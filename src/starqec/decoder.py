@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .circuits import EcCircuit, build_ec_circuit
 from .codes import CssCode
 from .faulttol import (
@@ -140,6 +142,12 @@ def ec_decision(s1: int, s2: int, s3: int) -> EcDecision:
     if s2 == s3:
         return EcDecision("repeated", s2)
     return EcDecision("last", s3)
+
+
+def ec_decisions(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
+    """``ec_decision``'s syndrome over arrays of syndrome triples. Two trivial
+    syndromes are a repeated 0, so the no-correction case needs no branch."""
+    return np.where((s1 == s2) | (s1 == s3), s1, s3)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .circuits import (
     sample_faults,
 )
 from .codes import CssCode, get_builtin_code
-from .decoder import EcDecision, LookupTable, build_tables, ec_decision
+from .decoder import EcDecision, LookupTable, build_tables, ec_decision, ec_decisions
 from .faulttol import (
     builtin_schedule,
     enumerate_single_fault_errors,
@@ -146,6 +147,9 @@ class FitResult:
     pstar_ci: tuple[float, float]
     points_used: tuple[float, ...]
     crossing_pstar: float
+    # (p, reason) per point the filter rejected: 'too few failures', 'p > p_max',
+    # 'saturated', or 'used as fallback' (saturated, fitted as none was below the cap)
+    dropped: tuple[tuple[float, str], ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -155,6 +159,7 @@ class FitResult:
             "pstar_ci": list(self.pstar_ci),
             "points_used": list(self.points_used),
             "crossing_pstar": self.crossing_pstar,
+            "dropped": [{"p": p, "reason": reason} for p, reason in self.dropped],
         }
 
 
@@ -179,14 +184,16 @@ def fit_quadratic(
 ) -> FitResult:
     """Fit c from points in the quadratic regime: p <= p_max and an observed
     failure rate below ``saturation_cap`` (c p^2 must be small for the
-    quadratic model to hold), carrying at least ``min_failures`` failures."""
-    usable = [
-        pt
+    quadratic model to hold), carrying at least ``min_failures`` failures.
+    If every such point is saturated, the saturated ones are fitted instead."""
+    reasons = [
+        "too few failures" if pt.failures < min_failures else "p > p_max" if pt.p > p_max
+        else "saturated" if pt.p_l > saturation_cap else None
         for pt in points
-        if pt.failures >= min_failures and pt.p <= p_max and pt.p_l <= saturation_cap
     ]
-    if not usable:
-        usable = [pt for pt in points if pt.failures >= min_failures and pt.p <= p_max]
+    if None not in reasons:
+        reasons = ["used as fallback" if r == "saturated" else r for r in reasons]
+    usable = [pt for pt, r in zip(points, reasons) if r in (None, "used as fallback")]
     if not usable:
         raise FitError(
             "no point has enough failures for a fit; increase trials or use larger p"
@@ -211,6 +218,7 @@ def fit_quadratic(
         pstar_ci=pstar_ci,
         points_used=tuple(pt.p for pt in usable),
         crossing_pstar=_bisect_crossing(c),
+        dropped=tuple((pt.p, r) for pt, r in zip(points, reasons) if r),
     )
 
 
@@ -319,6 +327,160 @@ class LifetimeSummary:
         return self.total_rounds / self.trajectories
 
 
+# --- packed EC-unit kernel ---------------------------------------------------
+
+_U64 = np.dtype("<u8")  # little-endian: byte j of a lane row holds bits 8j..8j+7
+_LIFETIME_LANES = 1 << 16  # lanes per lockstep block; bounds lifetime memory
+_Atoms = list[tuple[np.ndarray, np.ndarray]]  # per category: (lane, atom row) per fault
+
+
+def _pack(rows: int, words: int, fields) -> np.ndarray:
+    """Rows of uint64 words from (bit offset, width, per-row ints) fields. A
+    field's ints are read once, unless it is wider than 64 bits: then they
+    must be a sequence, and the field must start on a word boundary."""
+    out = np.zeros((rows, words), dtype=_U64)
+    for offset, width, values in fields:
+        word, shift = divmod(offset, 64)
+        for chunk in range(-(-width // 64)):
+            part = values if width <= 64 else [(v >> 64 * chunk) & (2**64 - 1) for v in values]
+            out[:, word + chunk] |= np.fromiter(part, _U64, rows) << shift
+    return out
+
+
+def _byte_luts(columns: np.ndarray) -> np.ndarray:
+    """Per byte of a residual, the XOR of the given per-qubit rows over the
+    byte's set bits, for each of its 256 values (rows are linear in qubits)."""
+    columns = np.vstack([columns, np.zeros(((-len(columns)) % 8, columns.shape[1]), _U64)])
+    luts = np.zeros((len(columns) // 8, 256, columns.shape[1]), dtype=_U64)
+    for q, column in enumerate(columns):
+        j, bit = divmod(q, 8)
+        luts[j, 1 << bit : 2 << bit] = luts[j, : 1 << bit] ^ column
+    return luts
+
+
+def _field(lanes: np.ndarray, offset: int, width: int) -> np.ndarray:
+    """Bits [offset, offset + width) of every lane; a field sits in one word."""
+    return (lanes[:, offset // 64] >> (offset % 64)) & ((1 << width) - 1)
+
+
+class EcKernel:
+    """The EC unit and the ideal-decode probe over many lanes at once. A lane
+    is one trial's Pauli frame in ``words`` uint64 words: X part, then Z part,
+    each the data residual (bit q for data qubit q) and the three round
+    syndromes, no field crossing a word. Fault atoms, (location, value)
+    pairs, are their signatures packed alike, so a unit's frame is the
+    incoming residual with its syndrome in every round, XOR the unit's atoms.
+    Residual syndromes and logical parities come from per-byte tables."""
+
+    def __init__(self, sim: "Simulator"):
+        n = self._n = sim.code.n
+        self._types = []  # (residual offset, round-syndrome offsets, width) for X, Z
+        base = 0
+        for det in (sim._det_x, sim._det_z):
+            r, pos, offsets = len(det), n, []
+            for _ in range(3):
+                pos = pos if pos % 64 + r <= 64 else -(-pos // 64) * 64
+                offsets.append(base + pos)
+                pos += r
+            self._types.append((base, offsets, r))
+            base += -(-pos // 64) * 64
+        self.words = w = base // 64
+        self._res_mask = self.pack([FaultSig((1 << n) - 1, (1 << n) - 1, (0,) * 3, (0,) * 3)])[0]
+        # Per category: (locations, values) and atom rows, row loc * values + value.
+        self._sizes, self._atoms = [], []
+        for cat in _CATEGORIES:
+            _locs, rows = sim.signatures.by_category[cat]
+            self._sizes.append((len(rows), category_value_count(cat)))
+            self._atoms.append(self.pack([sig for row in rows for sig in row]))
+        self._corr = [_pack(len(corr), w, [(b, n, corr)])
+                      for (b, _o, _r), corr in zip(self._types, (sim._x_corr, sim._z_corr))]
+        # Per residual byte: its syndrome in all three rounds, and its logical
+        # parities (X part against logical Z in words [0, kw), Z against X after).
+        kw = max(1, -(-len(sim._logical_z) // 64))
+        self._cols, syn3, parity = [], [], []
+        for t, ((b, offsets, r), det, logicals) in enumerate(
+            zip(self._types, (sim._det_x, sim._det_z), (sim._logical_z, sim._logical_x))
+        ):
+            self._cols += range(b // 8, b // 8 + -(-n // 8))
+            syn = [syndrome_bits(det, 1 << q) for q in range(n)]
+            syn3.append(_byte_luts(_pack(n, w, [(off, r, syn) for off in offsets])))
+            par = [sum(((m >> q) & 1) << i for i, m in enumerate(logicals)) for q in range(n)]
+            parity.append(_byte_luts(_pack(n, 2 * kw, [(64 * kw * t, len(logicals), par)])))
+        self._syn3 = np.concatenate(syn3)
+        self._parity = np.concatenate(parity)
+
+    def zeros(self, lanes: int) -> np.ndarray:
+        return np.zeros((lanes, self.words), dtype=_U64)
+
+    def pack(self, sigs: list[FaultSig]) -> np.ndarray:
+        """One row per signature; a residual is a signature with zero syndromes."""
+        return _pack(len(sigs), self.words, self._fields(sigs))
+
+    def _fields(self, sigs: list[FaultSig]):
+        # A generator, so that each field's column is built only when packed.
+        for (b, offsets, r), res, syn in zip(self._types, ("x_res", "z_res"), ("x_syn", "z_syn")):
+            yield b, self._n, list(map(attrgetter(res), sigs))
+            rounds = list(map(attrgetter(syn), sigs))
+            for i, off in enumerate(offsets):
+                yield off, r, map(itemgetter(i), rounds)
+
+    def unpack(self, lanes: np.ndarray) -> list[tuple[int, int]]:
+        """(x, z) data residuals of the given lanes."""
+        (xb, _, _), (zb, _, _) = self._types
+        values = [int.from_bytes(row.tobytes(), "little") for row in lanes.astype(_U64)]
+        return [((v >> xb) % (1 << self._n), (v >> zb) % (1 << self._n)) for v in values]
+
+    def sample(self, rng: np.random.Generator, noise: NoiseModel, lanes: int) -> _Atoms:
+        """One EC unit's faults per lane: per category, lane and atom row of
+        each fault. Every location fails independently with its category's
+        probability: a binomial count per lane, that many distinct locations
+        (a draw repeating one in its lane is redrawn; as this treats all
+        locations alike, the set is uniform), then uniform fault values."""
+        out = []
+        for cat, (n_loc, n_val) in zip(_CATEGORIES, self._sizes):
+            counts = rng.binomial(n_loc, noise.category_prob(cat), size=lanes)
+            lane = np.repeat(np.arange(lanes), counts)
+            loc = rng.integers(0, n_loc, size=lane.size) if lane.size else lane
+            multi = np.flatnonzero(counts[lane] > 1)
+            while multi.size:
+                key = lane[multi] * n_loc + loc[multi]
+                order = np.argsort(key, kind="stable")
+                repeat = order[1:][np.diff(key[order]) == 0]
+                if not repeat.size:
+                    break
+                loc[multi[repeat]] = rng.integers(0, n_loc, size=repeat.size)
+            if n_val > 1:
+                loc = loc * n_val + rng.integers(0, n_val, size=lane.size)
+            out.append((lane, loc))
+        return out
+
+    def _lookup(self, lanes: np.ndarray, luts: np.ndarray) -> np.ndarray:
+        """XOR over the residual bytes of each lane of that byte's table entry."""
+        b = np.ascontiguousarray(lanes).view(np.uint8)
+        out = np.zeros((len(lanes), luts.shape[2]), dtype=_U64)
+        for col, lut in zip(self._cols, luts):
+            out ^= np.take(lut, b[:, col], axis=0)
+        return out
+
+    def unit(self, res: np.ndarray, atoms: _Atoms) -> np.ndarray:
+        """One EC unit on every lane: the incoming residuals combined with the
+        atoms, corrected per error type by the three-round decision rule."""
+        frame = res ^ self._lookup(res, self._syn3)
+        for table, (lane, row) in zip(self._atoms, atoms):
+            np.bitwise_xor.at(frame, lane, table[row])
+        out = frame & self._res_mask
+        for (_b, offsets, r), corr in zip(self._types, self._corr):
+            out ^= corr[ec_decisions(*(_field(frame, off, r) for off in offsets))]
+        return out
+
+    def fails(self, res: np.ndarray) -> np.ndarray:
+        """Ideal-decode probe: does a lane's corrected residual flip a logical?"""
+        syn = self._lookup(res, self._syn3)
+        for (_b, offsets, r), corr in zip(self._types, self._corr):
+            res = res ^ corr[_field(syn, offsets[0], r)]
+        return self._lookup(res, self._parity).any(axis=1)
+
+
 class Simulator:
     """Bundles a code with its verified schedule, lookup tables, 3-round EC
     circuit and single-fault signatures, and runs the simulations."""
@@ -336,6 +498,7 @@ class Simulator:
         self._z_corr = self.tables["Z"].corrections
         self._logical_z = tuple(op.bits for op in code.logical_z)
         self._logical_x = tuple(op.bits for op in code.logical_x)
+        self.kernel = EcKernel(self)  # the EC unit both Monte Carlo estimators run
 
     @classmethod
     def for_builtin(cls, name: str) -> "Simulator":
@@ -400,14 +563,9 @@ class Simulator:
             for kind in ("X", "Z"):
                 xin = (1 << q) if kind == "X" else 0
                 zin = (1 << q) if kind == "Z" else 0
-                before = self._decode(xin, zin)
-                xo, zo = self._unit((), xin, zin)
-                after = self._decode(xo, zo)
                 input_cases += 1
-                if (before.afflicted_x, before.afflicted_z) != (
-                    after.afflicted_x,
-                    after.afflicted_z,
-                ):
+                # TrialResults compare by afflicted logicals (rounds are None)
+                if self._decode(xin, zin) != self._decode(*self._unit((), xin, zin)):
                     violations.append(f"input {kind} error on qubit {q} changes logical state")
         # (ii) r = 0, s = 1
         distinct = self._distinct_sigs()
@@ -478,16 +636,6 @@ class Simulator:
 
     # -- sampling helpers --
 
-    def _category_data(self):
-        cache = getattr(self, "_cat_cache", None)
-        if cache is None:
-            cache = []
-            for cat in _CATEGORIES:
-                locs, sigs = self.signatures.by_category[cat]
-                cache.append((cat, len(locs), sigs, category_value_count(cat)))
-            self._cat_cache = cache
-        return cache
-
     def faults_to_sigs(self, faults: list[tuple[int, int]]) -> list[FaultSig]:
         return [self.signatures.signature(loc, val) for loc, val in faults]
 
@@ -551,15 +699,13 @@ class Simulator:
         out = []
         for point_idx, p in enumerate(ps):
             noise = NoiseModel(p)
-            n_batches = (trials + batch_size - 1) // batch_size
-            tasks = [
-                (b, min(batch_size, trials - b * batch_size)) for b in range(n_batches)
-            ]
+            tasks = [(b, min(batch_size, trials - b * batch_size))
+                     for b in range(-(-trials // batch_size))]
             if threads > 1 and len(tasks) > 1:
                 failures = _parallel_failures(self, noise, units, seed, point_idx, tasks, threads)
             else:
                 failures = sum(
-                    self._run_batch(noise, units, seed, point_idx, b, nb) for b, nb in tasks
+                    self._exrec_batch(noise, units, seed, point_idx, b, nb) for b, nb in tasks
                 )
             out.append(PointEstimate(p=p, trials=trials, failures=failures))
         return out
@@ -567,190 +713,54 @@ class Simulator:
     def estimate_lifetime(
         self, noise: NoiseModel, trajectories: int, seed: int, max_rounds: int
     ) -> LifetimeSummary:
-        failures = 0
-        censored = 0
-        total_rounds = 0
-        for t in range(trajectories):
-            res = self.run_lifetime_fast(noise, seed, t, max_rounds)
-            total_rounds += res.rounds_survived or 0
-            if res.failed:
-                failures += 1
-            else:
-                censored += 1
-        return LifetimeSummary(trajectories, failures, censored, total_rounds, max_rounds)
+        """Memory lifetimes; all trajectories run as kernel lanes on one stream per seed."""
+        if trajectories < 1:
+            raise ValueError("trajectories must be >= 1")
+        rng = fault_stream(seed)
+        censored = total_rounds = 0
+        for start in range(0, trajectories, _LIFETIME_LANES):
+            lanes = min(_LIFETIME_LANES, trajectories - start)
+            rounds, _, survivors = self._lifetime_lanes(noise, rng, lanes, max_rounds)
+            censored += survivors
+            total_rounds += int(rounds.sum())
+        return LifetimeSummary(trajectories, trajectories - censored, censored,
+                               total_rounds, max_rounds)
 
     def run_lifetime_fast(
         self, noise: NoiseModel, seed: int, trajectory: int, max_rounds: int
     ) -> TrialResult:
-        """Lifetime trajectory with chunked per-unit sampling (same physics as
-        run_lifetime, faster sampling path; its own (seed, trajectory) stream)."""
+        """One lifetime trajectory on the packed kernel, with its own
+        (seed, trajectory) stream; same physics as ``run_lifetime``."""
         rng = fault_stream(seed, trajectory)
-        cats = self._category_data()
-        probs = [noise.category_prob(cat) for cat, _n, _s, _v in cats]
-        chunk = 64
-        counts = None
-        ptr = chunk
-        xf = zf = 0
-        units = max_rounds // 3
-        for u in range(units):
-            if ptr == chunk:
-                counts = [
-                    rng.binomial(n, q, size=chunk) if n else np.zeros(chunk, dtype=int)
-                    for (cat, n, _s, _v), q in zip(cats, probs)
-                ]
-                ptr = 0
-            sigs = []
-            for ci, (cat, n, sig_rows, n_values) in enumerate(cats):
-                k = int(counts[ci][ptr])
-                if not k:
-                    continue
-                idxs = rng.integers(0, n, size=k)
-                if k > 1 and len(set(idxs.tolist())) != k:
-                    taken = set()
-                    fixed = []
-                    for i in idxs.tolist():
-                        while i in taken:
-                            i = int(rng.integers(0, n))
-                        taken.add(i)
-                        fixed.append(i)
-                    idxs = fixed
-                else:
-                    idxs = idxs.tolist()
-                if n_values > 1:
-                    vals = rng.integers(0, n_values, size=k).tolist()
-                else:
-                    vals = [0] * k
-                for i, v in zip(idxs, vals):
-                    sigs.append(sig_rows[i][v])
-            ptr += 1
-            if sigs or xf or zf:
-                xf, zf = self._unit(sigs, xf, zf)
-                if xf or zf:
-                    probe = self._decode(xf, zf)
-                    if probe.failed:
-                        return TrialResult(
-                            True, probe.afflicted_x, probe.afflicted_z, 3 * (u + 1)
-                        )
-        return TrialResult(False, (), (), 3 * units)
+        rounds, last, _ = self._lifetime_lanes(noise, rng, 1, max_rounds)
+        return self._decode(*self.kernel.unpack(last)[0], int(rounds[0]))
 
-    def _run_batch(
-        self,
-        noise: NoiseModel,
-        units: int,
-        seed: int,
-        point_idx: int,
-        batch_idx: int,
-        n_trials: int,
-    ) -> int:
-        """Failures among one batch of exRec (or single-EC) trials."""
+    def _lifetime_lanes(self, noise: NoiseModel, rng, lanes: int, max_rounds: int):
+        """Run ``lanes`` trajectories in lockstep until each fails its probe or
+        reaches ``max_rounds // 3`` units. Returns per lane the rounds survived
+        and the residual when it stopped, and how many lanes never failed."""
+        if max_rounds < 3:
+            raise ValueError("max_rounds must be >= 3")
+        kernel, units = self.kernel, max_rounds // 3
+        rounds = np.full(lanes, 3 * units)
+        alive, res, last = np.arange(lanes), kernel.zeros(lanes), kernel.zeros(lanes)
+        for u in range(units):
+            res = kernel.unit(res, kernel.sample(rng, noise, alive.size))
+            dead = kernel.fails(res)
+            last[alive] = res
+            rounds[alive[dead]] = 3 * (u + 1)
+            alive, res = alive[~dead], res[~dead]
+            if not alive.size:
+                break
+        return rounds, last, alive.size
+
+    def _exrec_batch(self, noise, units, seed, point_idx, batch_idx, n_trials) -> int:
+        """Failures in one batch of exRec (or single-EC) trials, on its own stream."""
         rng = fault_stream(seed, point_idx, units, batch_idx)
-        cats = self._category_data()
-        # Draw everything up front in a fixed order: counts, then per
-        # (unit, category) location indices, values and a spare pool for the
-        # rare duplicate-location rejections.
-        counts = []
-        for u in range(units):
-            for cat, n, _sigs, _v in cats:
-                q = noise.category_prob(cat)
-                counts.append(
-                    rng.binomial(n, q, size=n_trials) if n else np.zeros(n_trials, dtype=int)
-                )
-        pools = []
-        for u in range(units):
-            for ci, (cat, n, _sigs, n_values) in enumerate(cats):
-                total = int(counts[u * len(cats) + ci].sum())
-                idxs = rng.integers(0, n, size=total) if total else np.empty(0, dtype=int)
-                vals = (
-                    rng.integers(0, n_values, size=total)
-                    if (total and n_values > 1)
-                    else np.zeros(total, dtype=int)
-                )
-                spare = rng.integers(0, n, size=16 + total // 8) if n else np.empty(0, dtype=int)
-                pools.append([idxs.tolist(), vals.tolist(), spare.tolist(), 0, 0])
-                # pool row: [indices, values, spares, cursor, spare_cursor]
-
-        det_x = self._det_x
-        det_z = self._det_z
-        x_corr = self._x_corr
-        z_corr = self._z_corr
-        logical_z = self._logical_z
-        logical_x = self._logical_x
-        n_cats = len(cats)
-        sig_tables = [cats[ci][2] for ci in range(n_cats)]
-
-        failures = 0
-        for t in range(n_trials):
-            x_in = z_in = 0
-            for u in range(units):
-                sigs = []
-                base = u * n_cats
-                for ci in range(n_cats):
-                    k = int(counts[base + ci][t])
-                    if not k:
-                        continue
-                    pool = pools[base + ci]
-                    cur = pool[3]
-                    idxs = pool[0][cur : cur + k]
-                    vals = pool[1][cur : cur + k]
-                    pool[3] = cur + k
-                    if k > 1 and len(set(idxs)) != k:
-                        # Locations fail without replacement; redraw clashes
-                        # from the pre-drawn spare pool.
-                        taken = set()
-                        fixed = []
-                        sp = pool[2]
-                        sc = pool[4]
-                        n_cat = cats[ci][1]
-                        for i in idxs:
-                            while i in taken:
-                                if sc < len(sp):
-                                    i = sp[sc]
-                                    sc += 1
-                                else:
-                                    i = (i + 1) % n_cat  # spare pool exhausted
-                            taken.add(i)
-                            fixed.append(i)
-                        pool[4] = sc
-                        idxs = fixed
-                    rows = sig_tables[ci]
-                    for i, v in zip(idxs, vals):
-                        sigs.append(rows[i][v])
-                if not sigs and not (x_in or z_in):
-                    continue
-                sxi = syndrome_bits(det_x, x_in) if x_in else 0
-                szi = syndrome_bits(det_z, z_in) if z_in else 0
-                sx0 = sx1 = sx2 = sxi
-                sz0 = sz1 = sz2 = szi
-                xr, zr = x_in, z_in
-                for sig in sigs:
-                    xr ^= sig.x_res
-                    zr ^= sig.z_res
-                    xs = sig.x_syn
-                    zs = sig.z_syn
-                    sx0 ^= xs[0]
-                    sx1 ^= xs[1]
-                    sx2 ^= xs[2]
-                    sz0 ^= zs[0]
-                    sz1 ^= zs[1]
-                    sz2 ^= zs[2]
-                dx = ec_decision(sx0, sx1, sx2)
-                dz = ec_decision(sz0, sz1, sz2)
-                x_in = xr ^ x_corr[dx.syndrome]
-                z_in = zr ^ z_corr[dz.syndrome]
-            if not (x_in or z_in):
-                continue
-            cx = x_in ^ x_corr[syndrome_bits(det_x, x_in)] if x_in else 0
-            cz = z_in ^ z_corr[syndrome_bits(det_z, z_in)] if z_in else 0
-            for m in logical_z:
-                if (cx & m).bit_count() & 1:
-                    failures += 1
-                    break
-            else:
-                for m in logical_x:
-                    if (cz & m).bit_count() & 1:
-                        failures += 1
-                        break
-        return failures
+        res = self.kernel.zeros(n_trials)
+        for _ in range(units):
+            res = self.kernel.unit(res, self.kernel.sample(rng, noise, n_trials))
+        return int(self.kernel.fails(res).sum())
 
 
 def exact_quadratic_coefficient(sim: "Simulator") -> float:
@@ -760,30 +770,23 @@ def exact_quadratic_coefficient(sim: "Simulator") -> float:
     Every location-value atom carries its probability weight (linear in p);
     c is the probability-weighted count of malignant pairs, divided by p^2.
     """
-    noise = NoiseModel(1.0)  # weights taken per unit p
-    weights: dict[int, float] = {}
-    atoms: list[tuple[float, FaultSig, int]] = []  # (weight/p, sig, loc)
-    for cat in _CATEGORIES:
-        locs, sig_rows = sim.signatures.by_category[cat]
-        q = {"cnot": 1.0, "prep": 2 / 3, "meas": 2 / 3, "idle": 1 / 10}[cat]
-        per_val = q / category_value_count(cat)
-        for loc, sigs in zip(locs, sig_rows):
-            for sig in sigs:
-                atoms.append((per_val, sig, loc))
-
+    unit_noise = NoiseModel(1.0)  # weights taken per unit p
+    per_val = {
+        cat: unit_noise.category_prob(cat) / category_value_count(cat) for cat in _CATEGORIES
+    }
     # Group atoms by signature; malignancy depends only on the signature.
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, int] = {}
     sig_list: list[FaultSig] = []
     w_list: list[float] = []
-    for w, sig, _loc in atoms:
-        key = (sig.x_res, sig.z_res, sig.x_syn, sig.z_syn)
-        idx = groups.get(key)
-        if idx is None:
-            groups[key] = len(sig_list)
-            sig_list.append(sig)
-            w_list.append(w)
-        else:
-            w_list[idx] += w
+    for cat in _CATEGORIES:
+        for sigs in sim.signatures.by_category[cat][1]:
+            for sig in sigs:
+                idx = groups.setdefault((sig.x_res, sig.z_res, sig.x_syn, sig.z_syn), len(sig_list))
+                if idx == len(sig_list):
+                    sig_list.append(sig)
+                    w_list.append(per_val[cat])
+                else:
+                    w_list[idx] += per_val[cat]
 
     def fails(x: int, z: int) -> bool:
         cx = x ^ sim._x_corr[syndrome_bits(sim._det_x, x)] if x else 0
@@ -822,14 +825,11 @@ def exact_quadratic_coefficient(sim: "Simulator") -> float:
         # subtract impossible pairs: two atoms at the same location
         s_same = 0.0
         for cat in _CATEGORIES:
-            locs, sig_rows = sim.signatures.by_category[cat]
-            q = {"cnot": 1.0, "prep": 2 / 3, "meas": 2 / 3, "idle": 1 / 10}[cat]
-            per_val = q / category_value_count(cat)
-            for sigs in sig_rows:
+            w = per_val[cat] * per_val[cat]
+            for sigs in sim.signatures.by_category[cat][1]:
                 for a_i, a in enumerate(sigs):
                     for b in sigs[a_i:]:
                         if mal(a, b):
-                            w = per_val * per_val
                             s_same += w if b is a else 2 * w
         total += 0.5 * (s_all - s_same)
     # one fault in each unit (ordered)
@@ -846,15 +846,14 @@ def exact_quadratic_coefficient(sim: "Simulator") -> float:
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(sim, noise, units, seed, point_idx):
+def _init_worker(*state):
     global _WORKER_STATE
-    _WORKER_STATE = (sim, noise, units, seed, point_idx)
+    _WORKER_STATE = state  # (sim, noise, units, seed, point_idx)
 
 
 def _run_task(task) -> int:
-    sim, noise, units, seed, point_idx = _WORKER_STATE
-    batch_idx, n_trials = task
-    return sim._run_batch(noise, units, seed, point_idx, batch_idx, n_trials)
+    sim, *args = _WORKER_STATE
+    return sim._exrec_batch(*args, *task)
 
 
 def _parallel_failures(sim, noise, units, seed, point_idx, tasks, threads) -> int:

@@ -219,14 +219,11 @@ class SignatureSet:
 
     circuit: EcCircuit
     by_category: dict[str, tuple[tuple[int, ...], tuple[tuple[FaultSig, ...], ...]]]
+    position: dict[int, tuple[str, int]]  # location index -> (category, row)
 
     def signature(self, loc_index: int, value: int) -> FaultSig:
-        loc = self.circuit.locations[loc_index]
-        from .circuits import CATEGORY_OF
-
-        cat = CATEGORY_OF[loc.kind]
-        locs, sigs = self.by_category[cat]
-        return sigs[locs.index(loc_index)][value]
+        cat, row = self.position[loc_index]
+        return self.by_category[cat][1][row][value]
 
     def iter_all(self):
         for cat, (locs, sigs) in self.by_category.items():
@@ -246,4 +243,7 @@ def compute_signatures(circuit: EcCircuit) -> SignatureSet:
             tuple(signature_of(circuit, li, v) for v in range(n_values)) for li in locs
         )
         by_category[cat] = (locs, sigs)
-    return SignatureSet(circuit, by_category)
+    position = {
+        li: (cat, row) for cat, (locs, _s) in by_category.items() for row, li in enumerate(locs)
+    }
+    return SignatureSet(circuit, by_category, position)

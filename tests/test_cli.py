@@ -148,6 +148,45 @@ class TestSim:
         assert "mean_rounds=" in res.output
         assert out.exists()
 
+    def test_lifetime_rejects_zero_trials(self, runner):
+        res = runner.invoke(
+            main, ["sim", "lifetime", "--code", "surface17", "--p", "0.005", "--trials", "0"]
+        )
+        assert res.exit_code == 2
+        assert "--trials" in res.output
+
+    def test_bad_p_rejected_before_simulator_is_built(self, runner, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("Simulator built before --p was checked")
+
+        monkeypatch.setattr("starqec.cli.Simulator", no_build)
+        for command in ("exrec", "lifetime"):
+            res = runner.invoke(
+                main, ["sim", command, "--code", "surface17", "--p", "1.5", "--trials", "10"]
+            )
+            assert res.exit_code == 2, res.output
+            assert "--p must be in (0, 1)" in res.output
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mode separate\nsteps x\n",  # unparsable header
+            "mode separate\nsteps 8\ncnot 1 X 0 99\n",  # qubit outside the code
+        ],
+    )
+    def test_malformed_schedule_is_usage_error(self, runner, tmp_path, text):
+        path = tmp_path / "bad.sched"
+        path.write_text(text)
+        for args in (
+            ["sim", "exrec", "--code", "surface17", "--p", "0.003", "--trials", "10"],
+            ["sim", "verify", "--code", "surface17"],
+            ["schedule", "verify", "--code", "surface17"],
+        ):
+            res = runner.invoke(main, args + ["--schedule", str(path)])
+            assert res.exit_code == 2, (args, res.output)
+            assert "bad schedule file" in res.output
+            assert not isinstance(res.exception, ValueError)
+
     def test_outdir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("STARQEC_OUTDIR", str(tmp_path))
         res = runner.invoke(
@@ -179,6 +218,22 @@ class TestFit:
         summary = json.loads(res.output[: res.output.rindex("}") + 1])
         assert summary["c"] == pytest.approx(3000, rel=0.02)
         assert summary["pstar"] == pytest.approx(3.33e-5, rel=0.02)
+
+    def test_fit_json_lists_dropped_points(self, runner, tmp_path):
+        from starqec.engine import ResultRow, write_results_csv
+
+        path = tmp_path / "mixed.csv"
+        rows = [
+            ResultRow("syn", "exrec", 1e-4, 1000, 2, 0.002, 0.0, 1.0, 1),
+            ResultRow("syn", "exrec", 1e-3, 1_000_000, 3000, 0.003, 0.0, 1.0, 1),
+        ]
+        write_results_csv(path, rows)
+        out = tmp_path / "fit.json"
+        res = runner.invoke(main, ["fit", "--results", str(path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads(out.read_text())
+        assert summary["points_used"] == [1e-3]
+        assert summary["dropped"] == [{"p": 1e-4, "reason": "too few failures"}]
 
     def test_fit_insufficient_failures(self, runner, tmp_path):
         from starqec.engine import ResultRow, write_results_csv

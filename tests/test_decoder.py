@@ -1,5 +1,6 @@
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from starqec.decoder import (
@@ -7,6 +8,7 @@ from starqec.decoder import (
     build_lookup_table,
     build_tables,
     ec_decision,
+    ec_decisions,
     format_table,
     ideal_decode,
 )
@@ -110,6 +112,12 @@ class TestDecision:
         assert (d.source, d.syndrome) == ("last", 3)
         d = ec_decision(0, 2, 3)
         assert (d.source, d.syndrome) == ("last", 3)
+
+    def test_array_rule_matches_scalar_on_every_triple(self):
+        triples = np.array(list(product(range(5), repeat=3)), dtype=np.uint64)
+        got = ec_decisions(*triples.T)
+        want = [ec_decision(*map(int, t)).syndrome for t in triples]
+        assert got.tolist() == want
 
 
 class TestIdealDecode:

@@ -1,11 +1,22 @@
+import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from starqec.circuits import NoiseModel, build_ec_circuit, fault_stream, sample_faults
+from starqec.circuits import (
+    CATEGORY_OF,
+    NoiseModel,
+    build_ec_circuit,
+    category_value_count,
+    fault_stream,
+    sample_faults,
+)
 from starqec.codes import CssCode
 from starqec.engine import (
+    _CATEGORIES,
+    EcKernel,
     FitError,
     PointEstimate,
     ResultRow,
@@ -18,7 +29,7 @@ from starqec.engine import (
     wilson_interval,
     write_results_csv,
 )
-from starqec.frames import PauliFrame
+from starqec.frames import FaultSig, PauliFrame
 from starqec.gf2 import BitMatrix
 from starqec.scheduling import CnotSchedule
 
@@ -83,6 +94,147 @@ class TestEcUnit:
             )
             x, z = s17_sim._unit(s17_sim.faults_to_sigs(faults), xin, zin)
             assert (x, z) == (ref.frame.x, ref.frame.z)
+
+
+def kernel_atoms(sim, fault_sets):
+    """Kernel atoms (per category: lane and atom row of each fault) of the
+    given per-lane fault lists of (location index, value)."""
+    lanes = {cat: ([], []) for cat in _CATEGORIES}
+    for lane, faults in enumerate(fault_sets):
+        for loc, value in faults:
+            cat, row = sim.signatures.position[loc]
+            lanes[cat][0].append(lane)
+            lanes[cat][1].append(row * category_value_count(cat) + value)
+    return [
+        (np.array(lanes[cat][0], dtype=np.int64), np.array(lanes[cat][1], dtype=np.int64))
+        for cat in _CATEGORIES
+    ]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("code", ["surface17", "ssd"])
+    def test_unit_and_probe_match_scalar(self, code, ssd_sim, s17_sim):
+        # the packed kernel must reproduce Simulator._unit and _decode
+        # exactly on random fault sets with random incoming residuals
+        sim = ssd_sim if code == "ssd" else s17_sim
+        n = sim.code.n
+        rng = np.random.default_rng(31)
+
+        def residual() -> int:
+            # zero, or a sparse error: the AND of two random n-bit words
+            if rng.random() < 0.4:
+                return 0
+            return int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
+
+        lanes = 10_000
+        fault_sets, incoming = [], []
+        for i in range(lanes):
+            noise = NoiseModel((1e-3, 5e-3, 2e-2)[i % 3])
+            fault_sets.append(sample_faults(sim.circuit, noise, fault_stream(41, i)))
+            incoming.append((residual(), residual()))
+        kernel = sim.kernel
+        res = kernel.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in incoming])
+        out = kernel.unit(res, kernel_atoms(sim, fault_sets))
+        got = kernel.unpack(out)
+        want = [sim._unit(sim.faults_to_sigs(f), x, z) for f, (x, z) in zip(fault_sets, incoming)]
+        assert sum(g != w for g, w in zip(got, want)) == 0
+        for lanes_in, pairs in ((out, want), (res, incoming)):
+            probe = kernel.fails(lanes_in)
+            assert sum(bool(f) != sim._decode(x, z).failed for f, (x, z) in zip(probe, pairs)) == 0
+        assert 0 < kernel.fails(out).sum() < lanes  # both outcomes exercised
+
+    @pytest.mark.parametrize("width, words", [(62, 4), (70, 4), (130, 6)])
+    def test_multiword_layout_matches_scalar(self, s17_sim, width, words):
+        # Surface-17 declared with extra idle data qubits, so that fields
+        # span several words: at width 62 the first round syndrome no longer
+        # fits word 0, at 70 and 130 the residual itself takes two and three
+        # words. The scalar rule ignores bits that no check or logical
+        # touches, so high residual bits must pass through unchanged.
+        wide = copy.copy(s17_sim)
+        wide.code = SimpleNamespace(n=width)
+        kernel = EcKernel(wide)
+        assert kernel.words == words
+        rng = np.random.default_rng(width)
+
+        def residual() -> int:
+            return int.from_bytes(rng.bytes(17), "little") % (1 << width)
+
+        lanes = 2000
+        faults = [sample_faults(s17_sim.circuit, NoiseModel(2e-2), fault_stream(43, i))
+                  for i in range(lanes)]
+        incoming = [(residual(), residual()) for _ in range(lanes)]
+        res = kernel.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in incoming])
+        assert kernel.unpack(res) == incoming
+        out = kernel.unit(res, kernel_atoms(s17_sim, faults))
+        want = [
+            s17_sim._unit(s17_sim.faults_to_sigs(f), x, z) for f, (x, z) in zip(faults, incoming)
+        ]
+        assert kernel.unpack(out) == want
+        probe = kernel.fails(out)
+        assert [bool(f) for f in probe] == [s17_sim._decode(x, z).failed for x, z in want]
+
+    def test_sampler_frequencies_and_exclusion(self, ssd_sim):
+        # the sampler both estimators run: 5-sigma per-(category, value)
+        # frequencies over >= 1e6 location draws per kind, 5-sigma failure
+        # frequency at every location, and no location twice in one lane.
+        # p = 0.05 makes repeated locations (and so redraws) common.
+        noise = NoiseModel(0.05)
+        kernel = ssd_sim.kernel
+        sizes = {c: len(ssd_sim.signatures.by_category[c][0]) for c in _CATEGORIES}
+        lanes = math.ceil(1_000_000 / min(sizes.values()))
+        atoms = kernel.sample(fault_stream(2026, 5), noise, lanes)
+        for cat, (lane, row) in zip(_CATEGORIES, atoms):
+            n_loc, n_val = sizes[cat], category_value_count(cat)
+            loc, value = row // n_val, row % n_val
+            assert lanes * n_loc >= 1_000_000
+            assert np.all((0 <= loc) & (loc < n_loc))
+            assert np.unique(lane * n_loc + loc).size == lane.size
+            q = noise.category_prob(cat)
+            per_value = np.bincount(value, minlength=n_val)
+            n, qv = lanes * n_loc, q / n_val
+            assert np.all(np.abs(per_value - n * qv) <= 5 * math.sqrt(n * qv * (1 - qv)))
+            per_loc = np.bincount(loc, minlength=n_loc)
+            assert np.all(np.abs(per_loc - lanes * q) <= 5 * math.sqrt(lanes * q * (1 - q)))
+
+    def test_sampler_dense_noise(self, s17_sim):
+        # at p = 0.5 about half of all locations fail in every lane, so
+        # repeats are the rule; the draw must still finish, stay
+        # repeat-free, give every location its probability and keep
+        # locations independent: neighbouring rows (where a shift-to-the-
+        # next-free-row redraw would pile up) both fail at rate q^2
+        noise = NoiseModel(0.5)
+        lanes = 4000
+        atoms = s17_sim.kernel.sample(fault_stream(2026, 6), noise, lanes)
+        for cat, (lane, row) in zip(_CATEGORIES, atoms):
+            n_loc = len(s17_sim.signatures.by_category[cat][0])
+            loc = row // category_value_count(cat)
+            assert np.unique(lane * n_loc + loc).size == lane.size
+            q = noise.category_prob(cat)
+            per_loc = np.bincount(loc, minlength=n_loc)
+            assert np.all(np.abs(per_loc - lanes * q) <= 5 * math.sqrt(lanes * q * (1 - q)))
+            hit = np.zeros((lanes, n_loc), dtype=bool)
+            hit[lane, loc] = True
+            pairs = (hit & np.roll(hit, -1, axis=1)).sum(axis=1)
+            se = pairs.std(ddof=1) / math.sqrt(lanes)
+            assert abs(pairs.mean() - n_loc * q * q) <= 5 * se
+
+    def test_lockstep_lifetime_matches_scalar_oracle(self, s17_sim):
+        noise = NoiseModel(5e-3)
+        oracle = [s17_sim.run_lifetime(noise, 1000 + i, 3000).rounds_survived for i in range(2000)]
+        mean = sum(oracle) / len(oracle)
+        sd = math.sqrt(sum((r - mean) ** 2 for r in oracle) / (len(oracle) - 1))
+        summary = s17_sim.estimate_lifetime(noise, 20_000, seed=5, max_rounds=3000)
+        assert summary.censored == 0
+        se = sd * math.sqrt(1 / len(oracle) + 1 / summary.trajectories)
+        assert abs(summary.mean_rounds - mean) <= 5 * se
+
+    def test_signature_position_lookup(self, s17_sim):
+        sigs = s17_sim.signatures
+        assert sorted(sigs.position) == list(range(len(s17_sim.circuit.locations)))
+        for loc, value, sig in sigs.iter_all():
+            cat = CATEGORY_OF[s17_sim.circuit.locations[loc].kind]
+            assert sigs.position[loc][0] == cat
+            assert sigs.signature(loc, value) is sig
 
 
 class TestVerification:
@@ -196,6 +348,15 @@ class TestLifetime:
         assert summary.failures + summary.censored == 50
         assert summary.mean_rounds > 0
 
+    def test_censoring_and_reproducibility(self, s17_sim):
+        noise = NoiseModel(5e-3)
+        short = s17_sim.estimate_lifetime(noise, 300, seed=8, max_rounds=30)
+        assert short.censored > 0 and short.failures > 0
+        assert short.total_rounds <= 300 * 30
+        assert short == s17_sim.estimate_lifetime(noise, 300, seed=8, max_rounds=30)
+        with pytest.raises(ValueError):
+            s17_sim.estimate_lifetime(noise, 0, seed=8, max_rounds=30)
+
 
 class TestFitsAndCounts:
     def test_count_cnot_pairs(self, ssd_sim, s17_sim):
@@ -252,6 +413,27 @@ class TestFitsAndCounts:
         fit = fit_quadratic(pts)
         assert fit.points_used == (3e-4,)
         assert fit.c == pytest.approx(50_000, rel=0.05)
+        assert fit.dropped == ((3e-3, "saturated"),)
+
+    def test_fit_lists_dropped_points(self):
+        pts = [
+            PointEstimate(1e-4, 1000, 3),  # too few failures
+            PointEstimate(1e-3, 100_000, 400),
+            PointEstimate(5e-3, 100_000, 9000),  # beyond p_max
+        ]
+        fit = fit_quadratic(pts)
+        assert fit.points_used == (1e-3,)
+        assert fit.dropped == ((1e-4, "too few failures"), (5e-3, "p > p_max"))
+        assert fit.as_dict()["dropped"] == [
+            {"p": 1e-4, "reason": "too few failures"},
+            {"p": 5e-3, "reason": "p > p_max"},
+        ]
+
+    def test_fit_falls_back_to_saturated_points_and_says_so(self):
+        pts = [PointEstimate(1e-3, 1000, 100), PointEstimate(2e-3, 1000, 5)]
+        fit = fit_quadratic(pts)
+        assert fit.points_used == (1e-3,)
+        assert fit.dropped == ((1e-3, "used as fallback"), (2e-3, "too few failures"))
 
     def test_csv_roundtrip(self, tmp_path):
         rows = [
