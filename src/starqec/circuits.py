@@ -4,7 +4,6 @@ and the circuit-level depolarizing noise model."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -287,10 +286,6 @@ def format_circuit(circuit: EcCircuit) -> str:
     for loc in circuit.locations:
         lines.append(f"{loc.t} {loc.kind} " + " ".join(str(q) for q in loc.qubits))
     return "\n".join(lines) + "\n"
-
-
-def dump_circuit(circuit: EcCircuit, path: str | Path) -> None:
-    Path(path).write_text(format_circuit(circuit))
 
 
 def fault_stream(seed: int, *stream: int) -> np.random.Generator:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -13,12 +14,13 @@ import click
 from .circuits import NoiseModel
 from .codes import CssCode, code_from_complex, distance_upto, get_builtin_code, verify_logical_basis
 from .complexes import ComplexFormatError, load_complex
-from .decoder import build_tables, format_table
+from .decoder import DecoderBuildError, build_tables, format_table
 from .engine import (
     FitError,
     ResultRow,
     Simulator,
     count_cnot_pairs,
+    exact_quadratic_coefficient,
     fit_quadratic,
     m_copy_failure,
     read_results_csv,
@@ -87,6 +89,15 @@ def _resolve_schedule(code: CssCode, code_name: str | None, schedule_path: str |
     if code_name is not None:
         return builtin_schedule(code_name)
     return find_fault_tolerant_schedule(code, retries=retries).schedule
+
+
+def _with_decoder(build, code: CssCode, schedule: CnotSchedule):
+    """``build(code, schedule)``, where ``build`` makes lookup tables; a table
+    that cannot or may not be built is a usage error."""
+    try:
+        return build(code, schedule)
+    except DecoderBuildError as exc:
+        raise click.UsageError(f"cannot build the decoder: {exc}") from None
 
 
 @click.group()
@@ -214,7 +225,7 @@ def decoder_build(code_name, complex_file, schedule_path, retries, out):
     """Build the X- and Z-error lookup tables and write their dumps."""
     c = _resolve_code(code_name, complex_file)
     sched = _resolve_schedule(c, code_name, schedule_path, retries)
-    tables = build_tables(c, sched)
+    tables = _with_decoder(build_tables, c, sched)
     out_dir = Path(out) if out else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind, table in tables.items():
@@ -234,7 +245,7 @@ def decoder_dump(code_name, complex_file, schedule_path, kind, retries, out):
     """Write one lookup table as text (stdout by default)."""
     c = _resolve_code(code_name, complex_file)
     sched = _resolve_schedule(c, code_name, schedule_path, retries)
-    tables = build_tables(c, sched)
+    tables = _with_decoder(build_tables, c, sched)
     text = format_table(tables[kind])
     if out:
         Path(out).write_text(text)
@@ -249,7 +260,7 @@ def decoder_dump(code_name, complex_file, schedule_path, kind, retries, out):
 def _simulator(code_name, complex_file, schedule_path, retries) -> tuple[CssCode, Simulator]:
     c = _resolve_code(code_name, complex_file)
     sched = _resolve_schedule(c, code_name, schedule_path, retries)
-    return c, Simulator(c, sched)
+    return c, _with_decoder(Simulator, c, sched)
 
 
 @main.group()
@@ -283,6 +294,30 @@ def sim_verify(code_name, complex_file, schedule_path, retries):
     click.echo(f"cnots per EC unit: {circuit.cnot_count()} (pairs: {count_cnot_pairs(circuit)})")
     if not report.ok:
         sys.exit(EXIT_VERIFICATION_FAILURE)
+
+
+@sim.command("exact")
+@_code_options
+@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
+@click.option("--retries", default=1000, show_default=True)
+def sim_exact(code_name, complex_file, schedule_path, retries):
+    """Exact leading coefficient c of the exRec failure rate, p_L = c p^2 + O(p^3),
+    from every pair of faults; prints JSON."""
+    c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
+    t0 = time.perf_counter()
+    coeff = exact_quadratic_coefficient(simulator)
+    wall_s = time.perf_counter() - t0
+    distinct = len(simulator.distinct_signatures()[0])
+    summary = {
+        "code": c.name,
+        "c": coeff,
+        "pstar": 1.0 / (10.0 * coeff) if coeff > 0 else None,
+        "distinct_signatures": distinct,
+        # unordered pairs within one unit, ordered pairs across the two units
+        "pairs": distinct * (distinct + 1) // 2 + distinct * distinct,
+        "wall_s": wall_s,
+    }
+    click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
 
 def _p_option(f):

@@ -4,7 +4,6 @@ fault-derived priority rule, and the three-syndrome EC decision protocol."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +17,9 @@ from .faulttol import (
 )
 from .gf2 import RowSpace
 from .scheduling import CnotSchedule
+
+
+MAX_TABLE_ENTRIES = 1 << 20  # syndromes a full lookup table may have: 20 measured checks
 
 
 class DecoderBuildError(RuntimeError):
@@ -60,17 +62,23 @@ def build_lookup_table(
     lexicographically smallest support); entries whose syndrome matches a
     fault-derived weight<=2 residual are forced to be logically equivalent to
     that residual, which requires the unique-syndrome check to pass first.
+    A table of more than ``MAX_TABLE_ENTRIES`` syndromes is refused before
+    anything is allocated for it.
     """
     if circuit is None:
         circuit = build_ec_circuit(code, schedule, rounds=1)
+    det = detector_rows(code, kind, circuit)
+    size = 1 << len(det)
+    if size > MAX_TABLE_ENTRIES:
+        raise DecoderBuildError(
+            f"a full {kind}-error lookup table needs 2^{len(det)} entries for "
+            f"{len(det)} measured checks; the bound is {MAX_TABLE_ENTRIES} (2^20)"
+        )
     uniqueness = verify_unique_syndromes(code, schedule, circuit)
     if not uniqueness.ok:
         raise DecoderBuildError(
             f"schedule fails the unique-syndrome condition: {uniqueness.collisions}"
         )
-    det = detector_rows(code, kind, circuit)
-    bits = len(det)
-    size = 1 << bits
     column = [syndrome_bits(det, 1 << q) for q in range(code.n)]
 
     corrections: list[int | None] = [None] * size
@@ -183,6 +191,3 @@ def format_table(table: LookupTable) -> str:
         lines.append(f"{s:0{(len(table.detect_rows) + 3) // 4}x} {corr:x}")
     return "\n".join(lines) + "\n"
 
-
-def dump_table(table: LookupTable, path: str | Path) -> None:
-    Path(path).write_text(format_table(table))

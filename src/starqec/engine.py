@@ -331,6 +331,7 @@ class LifetimeSummary:
 
 _U64 = np.dtype("<u8")  # little-endian: byte j of a lane row holds bits 8j..8j+7
 _LIFETIME_LANES = 1 << 16  # lanes per lockstep block; bounds lifetime memory
+_PAIR_LANES = 1 << 12  # lanes per block of the exhaustive sweeps; bounds their memory
 _Atoms = list[tuple[np.ndarray, np.ndarray]]  # per category: (lane, atom row) per fault
 
 
@@ -385,7 +386,7 @@ class EcKernel:
             self._types.append((base, offsets, r))
             base += -(-pos // 64) * 64
         self.words = w = base // 64
-        self._res_mask = self.pack([FaultSig((1 << n) - 1, (1 << n) - 1, (0,) * 3, (0,) * 3)])[0]
+        self._res_mask = self.pack_residuals([((1 << n) - 1, (1 << n) - 1)])[0]
         # Per category: (locations, values) and atom rows, row loc * values + value.
         self._sizes, self._atoms = [], []
         for cat in _CATEGORIES:
@@ -394,20 +395,25 @@ class EcKernel:
             self._atoms.append(self.pack([sig for row in rows for sig in row]))
         self._corr = [_pack(len(corr), w, [(b, n, corr)])
                       for (b, _o, _r), corr in zip(self._types, (sim._x_corr, sim._z_corr))]
-        # Per residual byte: its syndrome in all three rounds, and its logical
-        # parities (X part against logical Z in words [0, kw), Z against X after).
-        kw = max(1, -(-len(sim._logical_z) // 64))
-        self._cols, syn3, parity = [], [], []
-        for t, ((b, offsets, r), det, logicals) in enumerate(
-            zip(self._types, (sim._det_x, sim._det_z), (sim._logical_z, sim._logical_x))
-        ):
+        # Per residual byte: its syndrome in all three rounds, and its logical parities.
+        self._cols, syn3 = [], []
+        for (b, offsets, r), det in zip(self._types, (sim._det_x, sim._det_z)):
             self._cols += range(b // 8, b // 8 + -(-n // 8))
             syn = [syndrome_bits(det, 1 << q) for q in range(n)]
             syn3.append(_byte_luts(_pack(n, w, [(off, r, syn) for off in offsets])))
-            par = [sum(((m >> q) & 1) << i for i, m in enumerate(logicals)) for q in range(n)]
-            parity.append(_byte_luts(_pack(n, 2 * kw, [(64 * kw * t, len(logicals), par)])))
         self._syn3 = np.concatenate(syn3)
-        self._parity = np.concatenate(parity)
+        self._parity = self.parity_table(sim._logical_z, sim._logical_x)
+
+    def parity_table(self, x_rows, z_rows) -> np.ndarray:
+        """Per residual byte, the parities of the X part with each of ``x_rows``
+        (words [0, kw)) and of the Z part with each of ``z_rows`` (words after),
+        for ``parities``."""
+        n, kw = self._n, max(1, -(-max(len(x_rows), len(z_rows)) // 64))
+        luts = []
+        for t, rows in enumerate((x_rows, z_rows)):
+            par = [sum(((m >> q) & 1) << i for i, m in enumerate(rows)) for q in range(n)]
+            luts.append(_byte_luts(_pack(n, 2 * kw, [(64 * kw * t, len(rows), par)])))
+        return np.concatenate(luts)
 
     def zeros(self, lanes: int) -> np.ndarray:
         return np.zeros((lanes, self.words), dtype=_U64)
@@ -423,6 +429,10 @@ class EcKernel:
             rounds = list(map(attrgetter(syn), sigs))
             for i, off in enumerate(offsets):
                 yield off, r, map(itemgetter(i), rounds)
+
+    def pack_residuals(self, residuals: list[tuple[int, int]]) -> np.ndarray:
+        """One row per (x, z) data residual."""
+        return self.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in residuals])
 
     def unpack(self, lanes: np.ndarray) -> list[tuple[int, int]]:
         """(x, z) data residuals of the given lanes."""
@@ -462,23 +472,38 @@ class EcKernel:
             out ^= np.take(lut, b[:, col], axis=0)
         return out
 
+    def incoming(self, res: np.ndarray) -> np.ndarray:
+        """A unit's frame before its faults: each residual with its syndrome
+        in all three rounds."""
+        return res ^ self._lookup(res, self._syn3)
+
     def unit(self, res: np.ndarray, atoms: _Atoms) -> np.ndarray:
         """One EC unit on every lane: the incoming residuals combined with the
-        atoms, corrected per error type by the three-round decision rule."""
-        frame = res ^ self._lookup(res, self._syn3)
+        atoms, then ``decide``."""
+        frame = self.incoming(res)
         for table, (lane, row) in zip(self._atoms, atoms):
             np.bitwise_xor.at(frame, lane, table[row])
+        return self.decide(frame)
+
+    def decide(self, frame: np.ndarray) -> np.ndarray:
+        """The data residual of each unit frame, corrected per error type by
+        the three-round decision rule."""
         out = frame & self._res_mask
         for (_b, offsets, r), corr in zip(self._types, self._corr):
             out ^= corr[ec_decisions(*(_field(frame, off, r) for off in offsets))]
         return out
 
-    def fails(self, res: np.ndarray) -> np.ndarray:
-        """Ideal-decode probe: does a lane's corrected residual flip a logical?"""
+    def parities(self, res: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+        """Ideal decode of each residual, then its parities from a
+        ``parity_table`` (by default, with the logical operators)."""
         syn = self._lookup(res, self._syn3)
         for (_b, offsets, r), corr in zip(self._types, self._corr):
             res = res ^ corr[_field(syn, offsets[0], r)]
-        return self._lookup(res, self._parity).any(axis=1)
+        return self._lookup(res, self._parity if table is None else table)
+
+    def fails(self, res: np.ndarray) -> np.ndarray:
+        """Ideal-decode probe: does a lane's corrected residual flip a logical?"""
+        return self.parities(res).any(axis=1)
 
 
 class Simulator:
@@ -538,13 +563,27 @@ class Simulator:
 
     # -- exhaustive verification --
 
-    def _distinct_sigs(self) -> list[FaultSig]:
-        seen = {}
-        for _loc, _val, sig in self.signatures.iter_all():
-            key = (sig.x_res, sig.z_res, sig.x_syn, sig.z_syn)
-            if key not in seen and not sig.is_trivial:
-                seen[key] = sig
-        return list(seen.values())
+    def distinct_signatures(self) -> tuple[list[FaultSig], np.ndarray]:
+        """Every distinct single-fault signature, the trivial one included, in
+        the order atoms first show it, with its weight per unit p: the summed
+        probabilities of its (location, value) atoms at p = 1. Malignancy
+        depends only on the signature, so the sweeps run over these."""
+        unit_noise = NoiseModel(1.0)
+        index: dict[FaultSig, int] = {}
+        weights: list[float] = []
+        for cat in _CATEGORIES:
+            w = unit_noise.category_prob(cat) / category_value_count(cat)
+            for row in self.signatures.by_category[cat][1]:
+                for sig in row:
+                    i = index.setdefault(sig, len(weights))
+                    if i == len(weights):
+                        weights.append(w)
+                    else:
+                        weights[i] += w
+        return list(index), np.array(weights)
+
+    def _fault_sigs(self) -> list[FaultSig]:
+        return [sig for sig in self.distinct_signatures()[0] if not sig.is_trivial]
 
     def verify_condition1(self) -> Condition1Report:
         """Exhaustive distance-3 fault-tolerance check of the EC unit.
@@ -553,76 +592,62 @@ class Simulator:
         (ii) every single circuit fault on a clean input, must ideally decode
         to the same logical state as the input; (iii) with any fault-derived
         weight<=2 input error and any single fault, the output must return to
-        the codespace under ideal decoding.
+        the codespace under ideal decoding. Every case is a kernel lane.
         """
+        kernel, n, circuit = self.kernel, self.code.n, self.unit_circuit
         violations = []
-        n = self.code.n
         # (i) r = 1, s = 0
-        input_cases = 0
-        for q in range(n):
-            for kind in ("X", "Z"):
-                xin = (1 << q) if kind == "X" else 0
-                zin = (1 << q) if kind == "Z" else 0
-                input_cases += 1
-                # TrialResults compare by afflicted logicals (rounds are None)
-                if self._decode(xin, zin) != self._decode(*self._unit((), xin, zin)):
-                    violations.append(f"input {kind} error on qubit {q} changes logical state")
+        singles = [(1 << q, 0) if kind == "X" else (0, 1 << q) for q in range(n) for kind in "XZ"]
+        res = kernel.pack_residuals(singles)
+        changed = kernel.parities(res) != kernel.parities(kernel.unit(res, []))
+        for case in np.flatnonzero(changed.any(axis=1)):
+            q, kind = divmod(int(case), 2)
+            violations.append(f"input {'XZ'[kind]} error on qubit {q} changes logical state")
         # (ii) r = 0, s = 1
-        distinct = self._distinct_sigs()
-        fault_cases = 0
-        for sig in distinct:
-            xo, zo = self._unit((sig,), 0, 0)
-            fault_cases += 1
-            res = self._decode(xo, zo)
-            if res.failed:
-                violations.append(
-                    f"single fault with residual (x={sig.x_res:#x}, z={sig.z_res:#x}) "
-                    f"causes logical fault {res.afflicted}"
-                )
+        distinct = self._fault_sigs()
+        sigs = kernel.pack(distinct)
+        for case in np.flatnonzero(kernel.fails(kernel.decide(sigs))):
+            sig = distinct[case]
+            res = self._decode(*self._unit((sig,), 0, 0))
+            violations.append(
+                f"single fault with residual (x={sig.x_res:#x}, z={sig.z_res:#x}) "
+                f"causes logical fault {res.afflicted}"
+            )
         # (iii) modified second criterion
-        full_hx = self.code.hx.rows
-        full_hz = self.code.hz.rows
-        inputs: set[tuple[int, int]] = set()
-        for kind in ("X", "Z"):
-            for fr in enumerate_single_fault_errors(
-                self.code, self.schedule, kind, self.unit_circuit
-            ):
-                if fr.residual and fr.weight <= 2:
-                    if kind == "X":
-                        inputs.add((fr.residual, 0))
-                    else:
-                        inputs.add((0, fr.residual))
-        correctability_cases = 0
-        for xin, zin in sorted(inputs):
-            for sig in distinct:
-                xo, zo = self._unit((sig,), xin, zin)
-                correctability_cases += 1
-                cx = xo ^ self._x_corr[syndrome_bits(self._det_x, xo)]
-                cz = zo ^ self._z_corr[syndrome_bits(self._det_z, zo)]
-                if syndrome_bits(full_hz, cx) or syndrome_bits(full_hx, cz):
-                    violations.append(
-                        f"output for input (x={xin:#x}, z={zin:#x}) not returned to codespace"
-                    )
-        return Condition1Report(input_cases, fault_cases, correctability_cases, violations)
+        inputs = sorted({
+            (fr.residual, 0) if kind == "X" else (0, fr.residual)
+            for kind in "XZ"
+            for fr in enumerate_single_fault_errors(self.code, self.schedule, kind, circuit)
+            if fr.residual and fr.weight <= 2
+        })
+        frames = kernel.incoming(kernel.pack_residuals(inputs))
+        checks = kernel.parity_table(self.code.hz.rows, self.code.hx.rows)
+        for i, j in _grid_blocks(len(inputs), len(distinct)):
+            out = kernel.decide(frames[i] ^ sigs[j])
+            for case in np.flatnonzero(kernel.parities(out, checks).any(axis=1)):
+                xin, zin = inputs[i[case]]
+                violations.append(
+                    f"output for input (x={xin:#x}, z={zin:#x}) not returned to codespace"
+                )
+        cases = len(inputs) * len(distinct)
+        return Condition1Report(len(singles), len(distinct), cases, violations)
 
     def verify_exrec_single_faults(self) -> ExRecSweepReport:
-        """No single fault anywhere in the two-unit exRec may cause a logical fault."""
+        """No single fault anywhere in the two-unit exRec may cause a logical
+        fault. A fault in unit 1 is followed by a clean unit 2."""
+        kernel = self.kernel
+        distinct = self._fault_sigs()
+        out = kernel.decide(kernel.pack(distinct))
+        failed = np.stack([kernel.fails(kernel.unit(out, [])), kernel.fails(out)])
         violations = []
-        cases = 0
-        for sig in self._distinct_sigs():
-            for unit_index in (0, 1):
-                if unit_index == 0:
-                    x1, z1 = self._unit((sig,), 0, 0)
-                    x2, z2 = self._unit((), x1, z1)
-                else:
-                    x2, z2 = self._unit((sig,), 0, 0)
-                cases += 1
-                res = self._decode(x2, z2)
-                if res.failed:
-                    violations.append(
-                        f"single fault in unit {unit_index + 1} fails: {res.afflicted}"
-                    )
-        return ExRecSweepReport(cases, violations)
+        for case, unit_index in zip(*np.nonzero(failed.T)):
+            x, z = self._unit((distinct[case],), 0, 0)
+            if unit_index == 0:
+                x, z = self._unit((), x, z)
+            violations.append(
+                f"single fault in unit {unit_index + 1} fails: {self._decode(x, z).afflicted}"
+            )
+        return ExRecSweepReport(2 * len(distinct), violations)
 
     def verify(self) -> VerificationReport:
         properness = verify_properness(self.code, self.schedule)
@@ -763,82 +788,68 @@ class Simulator:
         return int(self.kernel.fails(res).sum())
 
 
+def _grid_blocks(rows: int, cols: int, upper: bool = False):
+    """Row and column indices of the cells of a rows x cols grid, in row-major
+    order, a block of whole rows at a time of at most ``_PAIR_LANES`` cells
+    (one row if a row is longer); with ``upper``, only the cells on or above
+    the diagonal of a square grid. The whole grid's indices are never formed."""
+    top = 0
+    while top < rows:
+        stop = min(rows, top + max(1, _PAIR_LANES // (cols - top * upper)))
+        row = np.arange(top, stop)
+        first = row * upper
+        counts = cols - first
+        i = np.repeat(row, counts)
+        yield i, np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        top = stop
+
+
+def malignant_same_unit(kernel: EcKernel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For unit frames holding both faults of a pair: does the exRec fail when
+    that unit is its first (a clean unit follows), and when it is its second?"""
+    out = kernel.decide(frames)
+    return kernel.fails(kernel.unit(out, [])), kernel.fails(out)
+
+
+def malignant_cross(kernel: EcKernel, after: np.ndarray, sigs: np.ndarray) -> np.ndarray:
+    """One fault in each unit: does the exRec fail? ``after`` is unit 2's
+    incoming frame, ``kernel.incoming`` of unit 1's output on its fault, and
+    ``sigs`` the packed signature of the fault in unit 2."""
+    return kernel.fails(kernel.decide(after ^ sigs))
+
+
 def exact_quadratic_coefficient(sim: "Simulator") -> float:
     """Leading p^2 coefficient of the exRec failure rate by exact enumeration
-    of all two-fault combinations (practical for Surface-17-sized circuits).
+    of all two-fault combinations, each pair a kernel lane.
 
     Every location-value atom carries its probability weight (linear in p);
     c is the probability-weighted count of malignant pairs, divided by p^2.
     """
-    unit_noise = NoiseModel(1.0)  # weights taken per unit p
-    per_val = {
-        cat: unit_noise.category_prob(cat) / category_value_count(cat) for cat in _CATEGORIES
-    }
-    # Group atoms by signature; malignancy depends only on the signature.
-    groups: dict[tuple, int] = {}
-    sig_list: list[FaultSig] = []
-    w_list: list[float] = []
-    for cat in _CATEGORIES:
-        for sigs in sim.signatures.by_category[cat][1]:
-            for sig in sigs:
-                idx = groups.setdefault((sig.x_res, sig.z_res, sig.x_syn, sig.z_syn), len(sig_list))
-                if idx == len(sig_list):
-                    sig_list.append(sig)
-                    w_list.append(per_val[cat])
-                else:
-                    w_list[idx] += per_val[cat]
-
-    def fails(x: int, z: int) -> bool:
-        cx = x ^ sim._x_corr[syndrome_bits(sim._det_x, x)] if x else 0
-        cz = z ^ sim._z_corr[syndrome_bits(sim._det_z, z)] if z else 0
-        for m in sim._logical_z:
-            if (cx & m).bit_count() & 1:
-                return True
-        for m in sim._logical_x:
-            if (cz & m).bit_count() & 1:
-                return True
-        return False
-
-    def mal_same_unit1(a: FaultSig, b: FaultSig) -> bool:
-        x1, z1 = sim._unit((a, b), 0, 0)
-        x2, z2 = sim._unit((), x1, z1)
-        return fails(x2, z2)
-
-    def mal_same_unit2(a: FaultSig, b: FaultSig) -> bool:
-        return fails(*sim._unit((a, b), 0, 0))
-
-    def mal_cross(a: FaultSig, b: FaultSig) -> bool:
-        x1, z1 = sim._unit((a,), 0, 0)
-        return fails(*sim._unit((b,), x1, z1))
-
-    n = len(sig_list)
-    total = 0.0
-    # pairs within one unit (units are identical circuits)
-    for mal in (mal_same_unit1, mal_same_unit2):
-        s_all = 0.0
-        for i in range(n):
-            wi, si = w_list[i], sig_list[i]
-            for j in range(i, n):
-                if mal(si, sig_list[j]):
-                    w = wi * w_list[j]
-                    s_all += w if i == j else 2 * w
-        # subtract impossible pairs: two atoms at the same location
-        s_same = 0.0
-        for cat in _CATEGORIES:
-            w = per_val[cat] * per_val[cat]
-            for sigs in sim.signatures.by_category[cat][1]:
-                for a_i, a in enumerate(sigs):
-                    for b in sigs[a_i:]:
-                        if mal(a, b):
-                            s_same += w if b is a else 2 * w
-        total += 0.5 * (s_all - s_same)
+    kernel = sim.kernel
+    distinct, weights = sim.distinct_signatures()
+    sigs = kernel.pack(distinct)
+    # pairs within one unit (units are identical circuits): both rules per pair
+    both = np.zeros(2)
+    for i, j in _grid_blocks(len(distinct), len(distinct), upper=True):
+        w = weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
+        for rule, mal in enumerate(malignant_same_unit(kernel, sigs[i] ^ sigs[j])):
+            both[rule] += w[mal].sum()
+    # subtract impossible pairs: two atoms at the same location
+    unit_noise = NoiseModel(1.0)
+    for cat, atoms, (n_loc, n_val) in zip(_CATEGORIES, kernel._atoms, kernel._sizes):
+        a, b = np.triu_indices(n_val)
+        w = (unit_noise.category_prob(cat) / n_val) ** 2 * np.where(a == b, 1.0, 2.0)
+        for loc, k in _grid_blocks(n_loc, a.size):
+            frames = atoms[loc * n_val + a[k]] ^ atoms[loc * n_val + b[k]]
+            for rule, mal in enumerate(malignant_same_unit(kernel, frames)):
+                both[rule] -= w[k][mal].sum()
+    total = 0.5 * both.sum()
     # one fault in each unit (ordered)
-    for i in range(n):
-        wi, si = w_list[i], sig_list[i]
-        for j in range(n):
-            if mal_cross(si, sig_list[j]):
-                total += wi * w_list[j]
-    return total
+    after = kernel.incoming(kernel.decide(sigs))
+    for i, j in _grid_blocks(len(distinct), len(distinct)):
+        mal = malignant_cross(kernel, after[i], sigs[j])
+        total += weights[i[mal]] @ weights[j[mal]]
+    return float(total)
 
 
 # --- multiprocessing support -------------------------------------------------

@@ -280,7 +280,7 @@ class ScheduleSearchResult:
 def find_fault_tolerant_schedule(
     code: CssCode, retries: int = 1000, require_min_colors: bool = True
 ) -> ScheduleSearchResult:
-    """Search sequential schedules: DSATUR with rotated vertex orderings until
+    """Search sequential schedules: DSATUR with reshuffled vertex orderings until
     both check types admit a minimum coloring whose fault-derived errors all
     have distinguishable syndromes."""
     measured = {"X": independent_rows(code.hx), "Z": independent_rows(code.hz)}

@@ -99,15 +99,6 @@ class BitMatrix:
         return cls(tuple(packed), width)
 
     @classmethod
-    def from_row_vectors(cls, rows: Iterable[BitVector], cols: int) -> "BitMatrix":
-        packed = []
-        for v in rows:
-            if v.length != cols:
-                raise ValueError("row length mismatch")
-            packed.append(v.bits)
-        return cls(tuple(packed), cols)
-
-    @classmethod
     def from_supports(cls, supports: Iterable[Iterable[int]], cols: int) -> "BitMatrix":
         return cls(tuple(BitVector.from_support(cols, s).bits for s in supports), cols)
 

@@ -137,11 +137,6 @@ def dsatur_color(g: SchedulingGraph, priority: Sequence[int] | None = None) -> C
     return Coloring(g, tuple(colors))
 
 
-def rotated_priority(n: int, rotation: int) -> list[int]:
-    """Priority ranks for the 'rotate the vertex order' retry strategy."""
-    return [(i - rotation) % n for i in range(n)]
-
-
 def shuffled_priority(n: int, attempt: int) -> list[int]:
     """Deterministically reordered priority ranks for retry ``attempt``.
 

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from starqec.cli import main
+from starqec.decoder import DecoderBuildError
 
 SQUARE_PATCH = "vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
 
@@ -186,6 +187,42 @@ class TestSim:
             assert res.exit_code == 2, (args, res.output)
             assert "bad schedule file" in res.output
             assert not isinstance(res.exception, ValueError)
+
+    def test_exact_surface17(self, runner):
+        res = runner.invoke(main, ["sim", "exact", "--code", "surface17"])
+        assert res.exit_code == 0, res.output
+        summary = json.loads(res.output)
+        assert summary["c"] == pytest.approx(4525.008888890047, rel=1e-9)
+        assert summary["pstar"] == pytest.approx(1 / (10 * summary["c"]), rel=1e-12)
+        n = summary["distinct_signatures"]
+        assert n == 756
+        assert summary["pairs"] == n * (n + 1) // 2 + n * n
+        assert summary["wall_s"] > 0
+
+    def test_exact_bad_inputs_are_usage_errors(self, runner, tmp_path):
+        path = tmp_path / "bad.sched"
+        path.write_text("mode separate\nsteps 8\ncnot 1 X 0 99\n")
+        for args in (["--code", "surface17", "--schedule", str(path)], ["--code", "steane"]):
+            res = runner.invoke(main, ["sim", "exact"] + args)
+            assert res.exit_code == 2, (args, res.output)
+
+    def test_oversized_decoder_is_usage_error(self, runner, tmp_path):
+        from starqec.codes import code_from_complex
+        from starqec.complexes import format_complex
+        from starqec.scheduling import save_schedule
+        from test_decoder import colored_schedule, grid_complex
+
+        cplx = grid_complex(5, 5)
+        (tmp_path / "grid.cplx").write_text(format_complex(cplx))
+        save_schedule(colored_schedule(code_from_complex(cplx)), tmp_path / "grid.sched")
+        files = ["--complex-file", str(tmp_path / "grid.cplx"),
+                 "--schedule", str(tmp_path / "grid.sched")]
+        for command in (["decoder", "build", "--out", str(tmp_path)], ["sim", "exact"],
+                        ["sim", "verify"]):
+            res = runner.invoke(main, command + files)
+            assert res.exit_code == 2, (command, res.output)
+            assert "2^25 entries" in res.output
+            assert not isinstance(res.exception, DecoderBuildError)
 
     def test_outdir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("STARQEC_OUTDIR", str(tmp_path))

@@ -3,7 +3,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from starqec.codes import code_from_complex
+from starqec.complexes import build_complex
 from starqec.decoder import (
+    MAX_TABLE_ENTRIES,
     DecoderBuildError,
     build_lookup_table,
     build_tables,
@@ -14,8 +17,31 @@ from starqec.decoder import (
 )
 from starqec.faulttol import builtin_schedule, enumerate_single_fault_errors
 from starqec.gf2 import RowSpace
+from starqec.scheduling import build_check_graph, dsatur_color, schedule_from_colorings
 
 from test_faulttol import reordered_ssd_schedule
+
+
+def grid_complex(rows: int, cols: int):
+    """A planar patch of rows x cols square faces: rows * cols independent
+    Z checks, so a full X-error table needs 2^(rows * cols) entries."""
+    v = lambda r, c: r * (cols + 1) + c
+    edges = [(v(r, c), v(r, c + 1)) for r in range(rows + 1) for c in range(cols)]
+    edges += [(v(r, c), v(r + 1, c)) for r in range(rows) for c in range(cols + 1)]
+    faces = [
+        [(v(r, c), v(r, c + 1)), (v(r + 1, c), v(r + 1, c + 1)),
+         (v(r, c), v(r + 1, c)), (v(r, c + 1), v(r + 1, c + 1))]
+        for r in range(rows) for c in range(cols)
+    ]
+    return build_complex((rows + 1) * (cols + 1), edges, faces_by_pairs=faces,
+                         name=f"grid-{rows}x{cols}")
+
+
+def colored_schedule(code):
+    """A valid sequential schedule from one DSATUR coloring per check type."""
+    return schedule_from_colorings(
+        code, dsatur_color(build_check_graph(code, "X")), dsatur_color(build_check_graph(code, "Z"))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +103,20 @@ class TestTableConstruction:
     def test_requires_unique_syndromes(self, ssd_code):
         with pytest.raises(DecoderBuildError):
             build_lookup_table(ssd_code, reordered_ssd_schedule(), "Z")
+
+    def test_table_size_bounded(self, monkeypatch):
+        # 25 measured Z checks: 2^25 X-error syndromes, past the 2^20 bound;
+        # refused before the unique-syndrome check and any table allocation
+        code = code_from_complex(grid_complex(5, 5))
+        schedule = colored_schedule(code)
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("unique-syndrome check ran before the size check")
+
+        monkeypatch.setattr("starqec.decoder.verify_unique_syndromes", not_reached)
+        assert MAX_TABLE_ENTRIES == 1 << 20
+        with pytest.raises(DecoderBuildError, match=r"2\^25 entries"):
+            build_lookup_table(code, schedule, "X")
 
     def test_dump_format_stable(self, s17_code):
         sched = builtin_schedule("surface17")

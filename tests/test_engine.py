@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import math
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,16 +24,22 @@ from starqec.engine import (
     ResultRow,
     Simulator,
     count_cnot_pairs,
+    exact_quadratic_coefficient,
     fit_quadratic,
+    malignant_cross,
+    malignant_same_unit,
     m_copy_failure,
     read_results_csv,
     run_ec_unit,
     wilson_interval,
     write_results_csv,
 )
+from starqec.faulttol import enumerate_single_fault_errors
 from starqec.frames import FaultSig, PauliFrame
-from starqec.gf2 import BitMatrix
+from starqec.gf2 import BitMatrix, RowSpace
 from starqec.scheduling import CnotSchedule
+
+from oracles import scalar_condition1, scalar_exact_c, scalar_exrec_sweep, scalar_malignant
 
 
 class TestEcUnit:
@@ -286,8 +294,106 @@ class TestVerification:
         sim2.__dict__.update(ssd_sim.__dict__)
         sim2.tables = {"X": ssd_sim.tables["X"], "Z": bad_table}
         sim2._z_corr = bad_table.corrections
+        sim2.kernel = EcKernel(sim2)
         report = sim2.verify_condition1()
         assert not report.ok
+
+    def test_corrupted_x_table_detected(self, ssd_sim, ssd_code):
+        report = corrupted_sim(ssd_sim, ssd_code, "X").verify_condition1()
+        assert not report.ok
+
+    @pytest.mark.parametrize(
+        "case", ["surface17", "ssd", "ssd-bad-x", "ssd-bad-z", "surface17-bad-syndrome"]
+    )
+    def test_reports_match_scalar_oracle(self, case, ssd_sim, s17_sim, ssd_code):
+        # the kernel-backed sweeps must give the scalar loops' case counts
+        # and violation lists, message for message, also on broken tables;
+        # a correction with the wrong syndrome leaves outputs off the codespace
+        sim = s17_sim if case.startswith("surface17") else ssd_sim
+        if case.startswith("ssd-bad"):
+            sim = corrupted_sim(ssd_sim, ssd_code, case[-1].upper())
+        elif case == "surface17-bad-syndrome":
+            sim = bad_syndrome_sim(s17_sim)
+        c1, sweep = sim.verify_condition1(), sim.verify_exrec_single_faults()
+        assert c1 == scalar_condition1(sim)
+        assert sweep == scalar_exrec_sweep(sim)
+        assert c1.ok == (case in ("surface17", "ssd"))
+        if case == "surface17-bad-syndrome":
+            assert any("not returned to codespace" in v for v in c1.violations)
+
+
+def with_table_entry(sim, kind, syndrome, error):
+    """A copy of ``sim`` whose ``kind`` table corrects ``syndrome`` with ``error``."""
+    table = sim.tables[kind]
+    corr = list(table.corrections)
+    corr[syndrome] = error
+    bad = dataclasses.replace(table, corrections=tuple(corr))
+    broken = object.__new__(Simulator)
+    broken.__dict__.update(sim.__dict__)
+    broken.tables = {**sim.tables, kind: bad}
+    setattr(broken, f"_{kind.lower()}_corr", bad.corrections)
+    broken.kernel = EcKernel(broken)
+    return broken
+
+
+def bad_syndrome_sim(s17_sim):
+    """Surface-17 with X on qubit 4 as the correction for qubit 0's X
+    syndrome: a correction off its syndrome, so a clean unit after a fault
+    is no longer the ideal decode, and the pair rules for unit 1 and unit 2
+    disagree."""
+    return with_table_entry(s17_sim, "X", s17_sim.tables["X"].syndrome_of(1), 1 << 4)
+
+
+def corrupted_sim(sim, code, kind):
+    """A copy of ``sim`` whose ``kind`` table has one fault-derived weight-2
+    entry replaced by an inequivalent weight-2 error of the same syndrome."""
+    table = sim.tables[kind]
+    stab = RowSpace.of_matrix(code.checks(kind))
+    for fr in enumerate_single_fault_errors(code, sim.schedule, kind, sim.unit_circuit):
+        if fr.weight != 2:
+            continue
+        for a, b in combinations(range(code.n), 2):
+            e = (1 << a) | (1 << b)
+            if table.syndrome_of(e) == fr.syndrome and not stab.contains(e ^ fr.residual):
+                return with_table_entry(sim, kind, fr.syndrome, e)
+    raise AssertionError(f"no {kind} table entry to corrupt")
+
+
+class TestExactC:
+    def test_surface17(self, s17_sim):
+        assert exact_quadratic_coefficient(s17_sim) == pytest.approx(4525.008888890047, rel=1e-9)
+
+    def test_ssd(self, ssd_sim):
+        # the value the one-pair-at-a-time enumeration gives (59 s on one core)
+        assert exact_quadratic_coefficient(ssd_sim) == pytest.approx(58301.41444357131, rel=1e-9)
+
+    def test_broken_table_matches_scalar(self, s17_sim):
+        # on a table that breaks fault tolerance, single faults, same-location
+        # pairs and the unit-1/unit-2 distinction all count
+        sim = bad_syndrome_sim(s17_sim)
+        want = scalar_exact_c(sim)
+        assert want > 1.1 * exact_quadratic_coefficient(s17_sim)
+        assert exact_quadratic_coefficient(sim) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("code", ["surface17", "ssd", "surface17-bad-syndrome"])
+    def test_pair_rules_match_scalar(self, code, ssd_sim, s17_sim):
+        # kernel malignancy of random signature pairs, the trivial signature
+        # included, against the scalar rules
+        sim = ssd_sim if code == "ssd" else s17_sim
+        if code == "surface17-bad-syndrome":
+            sim = bad_syndrome_sim(s17_sim)
+        kernel = sim.kernel
+        distinct, weights = sim.distinct_signatures()
+        assert len(weights) == len(distinct) == len(set(distinct))
+        sigs = kernel.pack(distinct)
+        rng = np.random.default_rng(17)
+        i, j = rng.integers(0, len(distinct), size=(2, 10_000))
+        same1, same2 = malignant_same_unit(kernel, sigs[i] ^ sigs[j])
+        cross = malignant_cross(kernel, kernel.incoming(kernel.decide(sigs))[i], sigs[j])
+        got = np.stack([same1, same2, cross], axis=1).tolist()
+        want = [list(scalar_malignant(sim, distinct[a], distinct[b])) for a, b in zip(i, j)]
+        assert got == want
+        assert all(0 < m.sum() < len(i) for m in (same1, same2, cross))
 
 
 class TestTrials:
