@@ -2,7 +2,7 @@
 parity-check scheduling, lookup-table decoding and circuit-level noise
 simulation."""
 
-from .circuits import EcCircuit, Location, NoiseModel, build_ec_circuit, enumerate_locations
+from .circuits import EcCircuit, Location, NoiseModel, build_ec_circuit
 from .codes import (
     CssCode,
     builtin_ssd,

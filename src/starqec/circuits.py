@@ -3,7 +3,7 @@ and the circuit-level depolarizing noise model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ MEAS_Z = "measz"
 IDLE = "idle"
 
 # Noise categories share a failure probability per kind of location.
+CATEGORIES = ("cnot", "prep", "meas", "idle")
 CATEGORY_OF = {
     PREP_PLUS: "prep",
     PREP_ZERO: "prep",
@@ -158,13 +159,6 @@ class EcCircuit:
     def total_timesteps(self) -> int:
         return self.rounds * self.timesteps_per_round
 
-    def x_ancilla(self, pos: int) -> int:
-        """Qubit id of the ancilla measuring the pos-th measured X row."""
-        return self.n_data + pos
-
-    def z_ancilla(self, pos: int) -> int:
-        return self.n_data + len(self.measured_x_rows) + pos
-
     def ancilla_check(self, qubit: int) -> tuple[str, int] | None:
         """(kind, row) of the check an ancilla qubit measures, or None for data."""
         if qubit < self.n_data:
@@ -194,12 +188,23 @@ class EcCircuit:
     def locations_of_category(self, category: str) -> tuple[int, ...]:
         cache = self.__dict__.get("_category_cache")
         if cache is None:
-            cache = {c: [] for c in ("cnot", "prep", "meas", "idle")}
+            cache = {c: [] for c in CATEGORIES}
             for i, loc in enumerate(self.locations):
                 cache[CATEGORY_OF[loc.kind]].append(i)
             cache = {c: tuple(v) for c, v in cache.items()}
             object.__setattr__(self, "_category_cache", cache)
         return cache[category]
+
+    @property
+    def first_round(self) -> "EcCircuit":
+        """The one-round circuit this circuit repeats, its locations at the same
+        indices (the circuit itself if it has one round). Memoized, so that
+        what is cached on it is shared."""
+        if self.rounds > 1 and "_first_round_cache" not in self.__dict__:
+            per_round = len(self.locations) // self.rounds
+            first = replace(self, rounds=1, locations=self.locations[:per_round])
+            object.__setattr__(self, "_first_round_cache", first)
+        return self.__dict__.get("_first_round_cache", self)
 
     def cnot_count(self) -> int:
         return sum(1 for loc in self.locations if loc.kind == CNOT)
@@ -275,11 +280,6 @@ def _check_grid(circuit: EcCircuit, n_qubits: int) -> None:
             raise ScheduleError(f"timestep {t} does not cover every qubit")
 
 
-def enumerate_locations(circuit: EcCircuit) -> tuple[Location, ...]:
-    """Deterministic location ordering: by timestep, then lowest acted qubit."""
-    return circuit.locations
-
-
 def format_circuit(circuit: EcCircuit) -> str:
     """Debug/diff dump: one line per location, canonical order."""
     lines = []
@@ -304,7 +304,7 @@ def sample_faults(
     X/Y/Z, and prep/measurement failures have a single outcome.
     """
     out: list[tuple[int, int]] = []
-    for category in ("cnot", "prep", "meas", "idle"):
+    for category in CATEGORIES:
         locs = circuit.locations_of_category(category)
         if not locs:
             continue

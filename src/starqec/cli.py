@@ -119,6 +119,10 @@ def code():
 def code_info(code_name, complex_file, distance_max):
     """Print code parameters, check weights and logical-basis verification."""
     c = _resolve_code(code_name, complex_file)
+    try:
+        d_z, d_x = distance_upto(c, distance_max)
+    except ValueError as exc:  # a cap below 1, or a search too large to run
+        raise click.UsageError(f"--distance-max {distance_max}: {exc}") from None
     click.echo(f"code: {c.name}")
     click.echo(f"n: {c.n}")
     click.echo(f"k: {c.k}")
@@ -130,7 +134,6 @@ def code_info(code_name, complex_file, distance_max):
             f"complex: V={cx.vertex_count} E={cx.edge_count} F={cx.face_count} "
             f"chi={cx.euler_characteristic()}"
         )
-    d_z, d_x = distance_upto(c, distance_max)
     click.echo(f"d_z: {d_z if d_z is not None else f'> {distance_max}'}")
     click.echo(f"d_x: {d_x if d_x is not None else f'> {distance_max}'}")
     report = verify_logical_basis(c)

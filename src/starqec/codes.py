@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .complexes import (
     CellComplex2D,
@@ -12,6 +13,10 @@ from .complexes import (
     small_stellated_dodecahedron_complex,
 )
 from .gf2 import BitMatrix, BitVector, RowSpace, kernel_basis, mat_vec, rank, symplectic_product
+
+
+# Supports distance_upto may enumerate: SSD's 30 qubits up to weight 6 are 768,211.
+MAX_DISTANCE_SUPPORTS = 1 << 20
 
 
 class CssConstructionError(ValueError):
@@ -273,10 +278,17 @@ def distance_upto(code: CssCode, w_max: int) -> tuple[int | None, int | None]:
 
     d_Z is the minimum weight of a Z-type error with zero X-check syndrome
     and odd overlap with some logical X (symmetrically for d_X). ``None``
-    means no such error exists up to w_max.
+    means no such error exists up to w_max. A search over more than
+    ``MAX_DISTANCE_SUPPORTS`` supports is refused before it starts.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
+    supports = sum(comb(code.n, w) for w in range(1, w_max + 1))
+    if supports > MAX_DISTANCE_SUPPORTS:
+        raise ValueError(
+            f"a distance search up to weight {w_max} on {code.n} qubits enumerates "
+            f"{supports} supports; the bound is {MAX_DISTANCE_SUPPORTS} (2^20)"
+        )
     d_z: int | None = None
     d_x: int | None = None
     for w in range(1, w_max + 1):

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import (
+    CATEGORIES as _CATEGORIES,
     EcCircuit,
     NoiseModel,
     build_ec_circuit,
@@ -38,8 +39,6 @@ from .faulttol import (
 )
 from .frames import FaultSig, PauliFrame, compute_signatures, propagate
 from .scheduling import CnotSchedule
-
-_CATEGORIES = ("cnot", "prep", "meas", "idle")
 
 
 @dataclass(frozen=True)
@@ -513,10 +512,12 @@ class Simulator:
     def __init__(self, code: CssCode, schedule: CnotSchedule):
         self.code = code
         self.schedule = schedule
-        self.unit_circuit = build_ec_circuit(code, schedule, rounds=1)
         self.circuit = build_ec_circuit(code, schedule, rounds=3)
-        self.tables = build_tables(code, schedule, self.unit_circuit)
+        self.unit_circuit = self.circuit.first_round
+        # One walk of the unit circuit's atoms, memoized on it: the 3-round
+        # signatures derive from it, and the tables and verify() read it.
         self.signatures = compute_signatures(self.circuit)
+        self.tables = build_tables(code, schedule, self.unit_circuit)
         self._det_x = self.tables["X"].detect_rows
         self._det_z = self.tables["Z"].detect_rows
         self._x_corr = self.tables["X"].corrections

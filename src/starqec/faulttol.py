@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import islice, permutations
 
-from .circuits import EcCircuit, build_ec_circuit, category_value_count
+from .circuits import EcCircuit, build_ec_circuit
 from .codes import CssCode, independent_rows
-from .frames import signature_of
+from .frames import compute_signatures, detector_rows, syndrome_bits
 from .gf2 import RowSpace
 from .scheduling import (
     CnotSchedule,
@@ -23,22 +23,6 @@ from .scheduling import (
     shuffled_priority,
     verify_properness,
 )
-
-
-def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:
-    """Syndrome of an error against a list of check-row masks, packed into an int."""
-    s = 0
-    for i, row in enumerate(rows):
-        if (row & error).bit_count() & 1:
-            s |= 1 << i
-    return s
-
-
-def detector_rows(code: CssCode, kind: str, circuit: EcCircuit) -> tuple[int, ...]:
-    """Check-row masks whose measurements detect ``kind``-type errors."""
-    if kind == "X":
-        return tuple(code.hz.rows[j] for j in circuit.measured_z_rows)
-    return tuple(code.hx.rows[j] for j in circuit.measured_x_rows)
 
 
 @dataclass(frozen=True)
@@ -62,31 +46,33 @@ def enumerate_single_fault_errors(
     """Residual ``kind``-type data errors of every single fault in one EC round.
 
     Each fault (all 15 Paulis per CNOT, the prep/measurement flips, X/Y/Z per
-    idle) is propagated through the rest of the round. The residual is
-    reduced modulo the check whose measurement hosted the fault, so every
-    entry has weight at most 2 for weight-5 checks.
+    idle) is read, location by location and value by value, from the
+    circuit's memoized signatures (``frames.compute_signatures``), so every
+    caller shares one propagation pass. The residual is reduced modulo the
+    check whose measurement hosted the fault, so every entry has weight at
+    most 2 for weight-5 checks.
     """
     if circuit is None:
         circuit = build_ec_circuit(code, schedule, rounds=1)
     det = detector_rows(code, kind, circuit)
     checks = code.checks(kind)
+    signatures = compute_signatures(circuit)
+    syndromes: dict[int, int] = {}  # residual -> ideal syndrome
     out = []
     for loc_index, loc in enumerate(circuit.locations):
-        from .circuits import CATEGORY_OF
-
-        n_values = category_value_count(CATEGORY_OF[loc.kind])
         owner = circuit.owner_check(loc)
         reducer = checks.rows[owner[1]] if owner is not None and owner[0] == kind else None
-        for value in range(n_values):
-            sig = signature_of(circuit, loc_index, value)
+        for value, sig in enumerate(signatures.of_location(loc_index)):
             residual = sig.x_res if kind == "X" else sig.z_res
             if reducer is not None and (residual ^ reducer).bit_count() < residual.bit_count():
                 residual ^= reducer
+            if residual not in syndromes:
+                syndromes[residual] = syndrome_bits(det, residual)
             out.append(
                 FaultResidual(
                     kind=kind,
                     residual=residual,
-                    syndrome=syndrome_bits(det, residual),
+                    syndrome=syndromes[residual],
                     loc_index=loc_index,
                     value=value,
                 )

@@ -9,8 +9,10 @@ measurement outcome is flipped by the ancilla's Z (X) component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .circuits import (
+    CATEGORIES,
     CNOT,
     IDLE,
     MEAS_X,
@@ -19,9 +21,27 @@ from .circuits import (
     PREP_ZERO,
     EcCircuit,
     Location,
+    category_value_count,
     cnot_fault_components,
     idle_fault_components,
 )
+from .codes import CssCode
+
+
+def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:
+    """Syndrome of an error against a list of check-row masks, packed into an int."""
+    s = 0
+    for i, row in enumerate(rows):
+        if (row & error).bit_count() & 1:
+            s |= 1 << i
+    return s
+
+
+def detector_rows(code: CssCode, kind: str, circuit: EcCircuit) -> tuple[int, ...]:
+    """Check-row masks whose measurements detect ``kind``-type errors."""
+    if kind == "X":
+        return tuple(code.hz.rows[j] for j in circuit.measured_z_rows)
+    return tuple(code.hx.rows[j] for j in circuit.measured_x_rows)
 
 
 @dataclass
@@ -31,11 +51,8 @@ class PauliFrame:
     x: int = 0
     z: int = 0
 
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.x, self.z)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a Simulator keeps about 11k of these
 class FaultSig:
     """Effect of a single fault propagated to the end of the circuit:
     residual data error components plus per-round syndrome-bit flips."""
@@ -55,20 +72,6 @@ class PropagationResult:
     frame: PauliFrame
     x_syndromes: tuple[int, ...]  # per round, from MeasZ outcomes
     z_syndromes: tuple[int, ...]  # per round, from MeasX outcomes
-
-
-def _timestep_slices(circuit: EcCircuit) -> list[tuple[int, int]]:
-    cache = circuit.__dict__.get("_slices_cache")
-    if cache is None:
-        cache = []
-        start = 0
-        locs = circuit.locations
-        for i in range(1, len(locs) + 1):
-            if i == len(locs) or locs[i].t != locs[start].t:
-                cache.append((start, i))
-                start = i
-        object.__setattr__(circuit, "_slices_cache", cache)
-    return cache
 
 
 def _active_ops(circuit: EcCircuit):
@@ -102,6 +105,26 @@ def _active_ops(circuit: EcCircuit):
     return cache
 
 
+def _walk(ops, x: int, z: int, x_syn: list[int], z_syn: list[int]) -> tuple[int, int]:
+    """Run the frame (x, z) through ``_active_ops`` tuples, XORing measurement
+    flips into the per-round syndromes; returns the frame after the last op."""
+    for _t, kind, a, b in ops:
+        if kind == "c":
+            if (x >> a) & 1:
+                x ^= 1 << b
+            if (z >> b) & 1:
+                z ^= 1 << a
+        elif kind == "p":
+            mask = ~(1 << a)
+            x &= mask
+            z &= mask
+        elif kind == "mx":
+            z_syn[b[0]] ^= ((z >> a) & 1) << b[1]
+        else:  # mz
+            x_syn[b[0]] ^= ((x >> a) & 1) << b[1]
+    return x, z
+
+
 def fault_injection(loc: Location, value: int) -> tuple[int, int]:
     """(x_mask, z_mask) a fault injects right after its location."""
     if loc.kind == CNOT:
@@ -119,95 +142,48 @@ def fault_injection(loc: Location, value: int) -> tuple[int, int]:
     raise ValueError(f"{loc.kind} faults act on the outcome, not the frame")
 
 
+def _inject(circuit: EcCircuit, loc: Location, value: int, x_syn, z_syn) -> tuple[int, int]:
+    """``fault_injection``, except that a measurement fault flips its outcome
+    in the syndromes and injects nothing."""
+    if loc.kind not in (MEAS_X, MEAS_Z):
+        return fault_injection(loc, value)
+    rnd, pos = circuit.meas_round_and_pos(loc)
+    (z_syn if loc.kind == MEAS_X else x_syn)[rnd] ^= 1 << pos
+    return 0, 0
+
+
 def propagate(
     circuit: EcCircuit,
     faults: list[tuple[int, int]] | dict[int, int] | None = None,
     frame: PauliFrame | None = None,
 ) -> PropagationResult:
-    """Run the full circuit over a Pauli frame, injecting faults after their
-    locations, and collect the per-round syndromes of both types."""
-    fault_map = dict(faults) if faults else {}
-    if frame is None:
-        frame = PauliFrame()
-    else:
-        frame = frame.copy()
-    x, z = frame.x, frame.z
-    rounds = circuit.rounds
-    x_syn = [0] * rounds
-    z_syn = [0] * rounds
-    locs = circuit.locations
-    for start, end in _timestep_slices(circuit):
-        # Gates first.
-        for i in range(start, end):
-            loc = locs[i]
-            kind = loc.kind
-            if kind == CNOT:
-                c, t = loc.qubits
-                if (x >> c) & 1:
-                    x ^= 1 << t
-                if (z >> t) & 1:
-                    z ^= 1 << c
-            elif kind == IDLE:
-                pass
-            elif kind in (PREP_PLUS, PREP_ZERO):
-                q = loc.qubits[0]
-                mask = ~(1 << q)
-                x &= mask
-                z &= mask
-            elif kind == MEAS_X:
-                rnd, pos = circuit.meas_round_and_pos(loc)
-                bit = (z >> loc.qubits[0]) & 1
-                if i in fault_map:
-                    bit ^= 1
-                z_syn[rnd] ^= bit << pos
-            elif kind == MEAS_Z:
-                rnd, pos = circuit.meas_round_and_pos(loc)
-                bit = (x >> loc.qubits[0]) & 1
-                if i in fault_map:
-                    bit ^= 1
-                x_syn[rnd] ^= bit << pos
-        # Then this timestep's faults.
-        for i in range(start, end):
-            if i in fault_map and locs[i].kind not in (MEAS_X, MEAS_Z):
-                fx, fz = fault_injection(locs[i], fault_map[i])
-                x ^= fx
-                z ^= fz
+    """Run the full circuit over a Pauli frame from its first timestep,
+    injecting each fault after its timestep's gates, and collect the
+    per-round syndromes of both types."""
+    ops, first_after = _active_ops(circuit)
+    x, z = (frame.x, frame.z) if frame is not None else (0, 0)
+    x_syn = [0] * circuit.rounds
+    z_syn = [0] * circuit.rounds
+    done = 0
+    for loc_index, value in sorted(dict(faults or {}).items()):
+        loc = circuit.locations[loc_index]
+        x, z = _walk(ops[done : first_after[loc.t]], x, z, x_syn, z_syn)
+        done = first_after[loc.t]
+        fx, fz = _inject(circuit, loc, value, x_syn, z_syn)
+        x ^= fx
+        z ^= fz
+    x, z = _walk(ops[done:], x, z, x_syn, z_syn)
     return PropagationResult(PauliFrame(x, z), tuple(x_syn), tuple(z_syn))
 
 
 def signature_of(circuit: EcCircuit, loc_index: int, value: int) -> FaultSig:
     """Propagate a single fault from its location to the end of the circuit."""
     loc = circuit.locations[loc_index]
-    rounds = circuit.rounds
-    x_syn = [0] * rounds
-    z_syn = [0] * rounds
-    if loc.kind in (MEAS_X, MEAS_Z):
-        rnd, pos = circuit.meas_round_and_pos(loc)
-        if loc.kind == MEAS_X:
-            z_syn[rnd] ^= 1 << pos
-        else:
-            x_syn[rnd] ^= 1 << pos
-        return FaultSig(0, 0, tuple(x_syn), tuple(z_syn))
-    x, z = fault_injection(loc, value)
     ops, first_after = _active_ops(circuit)
-    for op in ops[first_after[loc.t] :]:
-        kind = op[1]
-        if kind == "c":
-            c, t = op[2], op[3]
-            if (x >> c) & 1:
-                x ^= 1 << t
-            if (z >> t) & 1:
-                z ^= 1 << c
-        elif kind == "p":
-            mask = ~(1 << op[2])
-            x &= mask
-            z &= mask
-        elif kind == "mx":
-            rnd, pos = op[3]
-            z_syn[rnd] ^= ((z >> op[2]) & 1) << pos
-        else:  # mz
-            rnd, pos = op[3]
-            x_syn[rnd] ^= ((x >> op[2]) & 1) << pos
+    x_syn = [0] * circuit.rounds
+    z_syn = [0] * circuit.rounds
+    x, z = _inject(circuit, loc, value, x_syn, z_syn)
+    x, z = _walk(ops[first_after[loc.t] :], x, z, x_syn, z_syn)
     data = circuit.data_mask
     return FaultSig(x & data, z & data, tuple(x_syn), tuple(z_syn))
 
@@ -221,9 +197,13 @@ class SignatureSet:
     by_category: dict[str, tuple[tuple[int, ...], tuple[tuple[FaultSig, ...], ...]]]
     position: dict[int, tuple[str, int]]  # location index -> (category, row)
 
-    def signature(self, loc_index: int, value: int) -> FaultSig:
+    def of_location(self, loc_index: int) -> tuple[FaultSig, ...]:
+        """The signatures of a location's fault values, in value order."""
         cat, row = self.position[loc_index]
-        return self.by_category[cat][1][row][value]
+        return self.by_category[cat][1][row]
+
+    def signature(self, loc_index: int, value: int) -> FaultSig:
+        return self.of_location(loc_index)[value]
 
     def iter_all(self):
         for cat, (locs, sigs) in self.by_category.items():
@@ -233,17 +213,44 @@ class SignatureSet:
 
 
 def compute_signatures(circuit: EcCircuit) -> SignatureSet:
-    from .circuits import category_value_count
+    """Signatures of every (location, value) atom of ``circuit``, memoized on
+    the circuit. Only ``circuit.first_round`` is walked, each of its atoms
+    once. An atom of a later round r is its first-round twin with the twin's
+    syndrome in slot r and its data residual's ideal syndrome in every later
+    slot: ancillas are re-prepared every round, and CSS extraction does not
+    spread data errors."""
+    cache = circuit.__dict__.get("_signature_cache")
+    if cache is None:
+        first = circuit.first_round
+        if first is circuit:
+            atom = partial(signature_of, circuit)
+        else:
+            one, per_round, rounds = compute_signatures(first), len(first.locations), circuit.rounds
+            det_x, det_z = (detector_rows(circuit.code, kind, circuit) for kind in "XZ")
+            sigs = [sig for _loc, _value, sig in one.iter_all()]
+            # ideal syndromes, once per distinct residual
+            ideal_x = {res: syndrome_bits(det_x, res) for res in {sig.x_res for sig in sigs}}
+            ideal_z = {res: syndrome_bits(det_z, res) for res in {sig.z_res for sig in sigs}}
 
-    by_category = {}
-    for cat in ("cnot", "prep", "meas", "idle"):
-        locs = circuit.locations_of_category(cat)
-        n_values = category_value_count(cat)
-        sigs = tuple(
-            tuple(signature_of(circuit, li, v) for v in range(n_values)) for li in locs
-        )
-        by_category[cat] = (locs, sigs)
-    position = {
-        li: (cat, row) for cat, (locs, _s) in by_category.items() for row, li in enumerate(locs)
-    }
-    return SignatureSet(circuit, by_category, position)
+            def atom(loc_index: int, value: int) -> FaultSig:
+                r, base = divmod(loc_index, per_round)
+                sig, pad, later = one.signature(base, value), (0,) * r, rounds - r - 1
+                return FaultSig(
+                    sig.x_res, sig.z_res,
+                    pad + sig.x_syn + (ideal_x[sig.x_res],) * later,
+                    pad + sig.z_syn + (ideal_z[sig.z_res],) * later,
+                )
+
+        by_category = {}
+        for cat in CATEGORIES:
+            locs = circuit.locations_of_category(cat)
+            values = range(category_value_count(cat))
+            by_category[cat] = (locs, tuple(tuple(atom(li, v) for v in values) for li in locs))
+        position = {
+            li: (cat, row) for cat, (locs, _s) in by_category.items() for row, li in enumerate(locs)
+        }
+        # The set itself is not cached: it refers to the circuit, and a cycle
+        # would keep both alive until the garbage collector runs.
+        cache = (by_category, position)
+        object.__setattr__(circuit, "_signature_cache", cache)
+    return SignatureSet(circuit, *cache)

@@ -11,7 +11,6 @@ from starqec.circuits import (
     NoiseModel,
     build_ec_circuit,
     cnot_fault_components,
-    enumerate_locations,
     fault_stream,
     format_circuit,
     sample_faults,
@@ -92,7 +91,7 @@ class TestBuild:
         assert circuit.total_timesteps == 7  # prep + 5 CNOT steps + measurement
 
     def test_canonical_ordering(self, s17_circuit):
-        locs = enumerate_locations(s17_circuit)
+        locs = s17_circuit.locations
         keys = [(loc.t, min(loc.qubits)) for loc in locs]
         assert keys == sorted(keys)
 

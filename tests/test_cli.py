@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from starqec import codes
 from starqec.cli import main
 from starqec.decoder import DecoderBuildError
 
@@ -47,6 +48,19 @@ class TestCodeInfo:
     def test_requires_selector(self, runner):
         res = runner.invoke(main, ["code", "info"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("cap", [0, -1, 7, 30])
+    def test_bad_distance_cap_is_usage_error(self, runner, monkeypatch, cap):
+        # below 1, or more supports than MAX_DISTANCE_SUPPORTS: refused before
+        # a single support is enumerated (SSD's default cap of 6 is 768,211)
+        def refuse(*_args):
+            raise AssertionError("supports were enumerated")
+
+        monkeypatch.setattr(codes, "combinations", refuse)
+        res = runner.invoke(main, ["code", "info", "--code", "ssd", "--distance-max", str(cap)])
+        assert res.exit_code == 2, res.output
+        assert "--distance-max" in res.output
+        assert "Traceback" not in res.output
 
 
 class TestSchedule:

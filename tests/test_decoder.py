@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, product
 
 import numpy as np
@@ -182,3 +183,20 @@ class TestIdealDecode:
         for q in range(ssd_code.n):
             out = ideal_decode(ssd_code, ssd_tables["Z"], 1 << q)
             assert not out.failed
+
+
+# SHA-256 of format_table for the built-in codes: a change in the order the
+# fault-derived residuals override entries cannot silently change a table.
+GOLDEN_TABLES = {
+    ("ssd_sim", "X"): "a6217a36a433f39269f7bed482f89a60b6a30a760ff320da0991ff0af2aac305",
+    ("ssd_sim", "Z"): "adebcb6ef06ad25f6449d81b4b88c80d268ed046f1eb5b78f82f0d8a17fb8c70",
+    ("s17_sim", "X"): "3d94044995f5fa83bf9c3d9fbd136c21d05407dcb81dd54bee445df25ab5030d",
+    ("s17_sim", "Z"): "b1c4bb2d5e84e4543344ba55ea9c57d8b3d4ada8f414f5d70258c97b4c47eb6b",
+}
+
+
+@pytest.mark.parametrize("sim_name, kind", sorted(GOLDEN_TABLES))
+def test_builtin_tables_match_golden_digests(request, sim_name, kind):
+    table = request.getfixturevalue(sim_name).tables[kind]
+    digest = hashlib.sha256(format_table(table).encode()).hexdigest()
+    assert digest == GOLDEN_TABLES[sim_name, kind]

@@ -52,6 +52,15 @@ class TestEnumeration:
         )
         assert len(enumerate_single_fault_errors(s17_code, sched, "X")) == expected
 
+    def test_order_is_location_then_value(self, ssd_code):
+        # entries follow the circuit's locations, each location's values in order
+        sched = builtin_schedule("ssd")
+        circuit = build_ec_circuit(ssd_code, sched, rounds=1)
+        atoms = [(fr.loc_index, fr.value) for fr in enumerate_single_fault_errors(
+            ssd_code, sched, "X", circuit)]
+        assert atoms == sorted(atoms) and len(set(atoms)) == len(atoms)
+        assert [loc for loc, value in atoms if value == 0] == list(range(len(circuit.locations)))
+
     def test_syndromes_are_ideal(self, ssd_code):
         sched = builtin_schedule("ssd")
         circuit = build_ec_circuit(ssd_code, sched, rounds=1)

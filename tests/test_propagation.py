@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from starqec import frames
 from starqec.circuits import (
+    CATEGORY_OF,
     CNOT,
     build_ec_circuit,
     category_value_count,
 )
+from starqec.engine import Simulator
 from starqec.faulttol import builtin_schedule
-from starqec.frames import PauliFrame, propagate, signature_of
+from starqec.frames import PauliFrame, compute_signatures, propagate, signature_of
 
 # CNOT fault value for X on the control only: (v+1) = 4*1+0
 X_ON_CONTROL = 3
@@ -155,3 +158,37 @@ def test_prep_fault_flips_that_rounds_outcome(ssd_round):
     res = propagate(ssd_round, [(loc_idx, 0)])
     assert res.x_syndromes[0] == 1 << pos
     assert res.frame.x & ssd_round.data_mask == 0
+
+
+@pytest.mark.parametrize("sim_name", ["ssd_sim", "s17_sim"])
+def test_derived_signatures_equal_full_propagation(request, sim_name):
+    # every atom of the 3-round circuit: derived from its one-round twin,
+    # against a walk through all three rounds
+    sim = request.getfixturevalue(sim_name)
+    circuit = sim.circuit
+    atoms = list(sim.signatures.iter_all())
+    assert len(atoms) == sum(
+        category_value_count(CATEGORY_OF[loc.kind]) for loc in circuit.locations
+    )
+    mismatched = [
+        (loc, value) for loc, value, sig in atoms if sig != signature_of(circuit, loc, value)
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("name, one_round_atoms", [("ssd", 2774), ("surface17", 766)])
+def test_simulator_walks_each_one_round_atom_once(monkeypatch, name, one_round_atoms):
+    walks = []
+    walk = frames._walk
+
+    def counted(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(frames, "_walk", counted)
+    sim = Simulator.for_builtin(name)
+    assert len(walks) == one_round_atoms
+    assert sum(1 for _ in compute_signatures(sim.unit_circuit).iter_all()) == one_round_atoms
+    assert sum(1 for _ in sim.signatures.iter_all()) == 3 * one_round_atoms
+    assert sim.verify().ok
+    assert len(walks) == one_round_atoms
