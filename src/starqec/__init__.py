@@ -12,14 +12,13 @@ from .codes import (
     verify_logical_basis,
 )
 from .complexes import CellComplex2D, load_complex, parse_complex
-from .decoder import LookupTable, build_lookup_table, ec_decision, ideal_decode
+from .decoder import LookupTable, build_lookup_table, ec_decision
 from .engine import (
     Simulator,
     TrialResult,
     count_cnot_pairs,
     fit_quadratic,
     m_copy_failure,
-    run_ec_unit,
 )
 from .faulttol import (
     builtin_schedule,

@@ -292,27 +292,3 @@ def fault_stream(seed: int, *stream: int) -> np.random.Generator:
     """Independent, reproducible random stream for a (seed, stream-index) pair."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_faults(
-    circuit: EcCircuit, noise: NoiseModel, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Draw one fault assignment: a sorted list of (location index, value).
-
-    Each location fails independently with its category's probability; a
-    failing CNOT draws one of 15 two-qubit Paulis, a failing idle one of
-    X/Y/Z, and prep/measurement failures have a single outcome.
-    """
-    out: list[tuple[int, int]] = []
-    for category in CATEGORIES:
-        locs = circuit.locations_of_category(category)
-        if not locs:
-            continue
-        q = noise.category_prob(category)
-        hits = np.flatnonzero(rng.random(len(locs)) < q)
-        n_values = category_value_count(category)
-        values = rng.integers(0, n_values, size=len(hits)) if n_values > 1 else None
-        for j, h in enumerate(hits):
-            out.append((locs[h], int(values[j]) if values is not None else 0))
-    out.sort()
-    return out

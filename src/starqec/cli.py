@@ -352,6 +352,8 @@ def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads,
     _check_ps(ps)
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
+    if threads is not None and threads < 1:
+        raise click.UsageError("--threads must be >= 1")
     c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
     mode = "single" if single_unit else "exrec"
     points = simulator.estimate_pl(list(ps), trials, seed, mode=mode, threads=threads)

@@ -158,26 +158,6 @@ def ec_decisions(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
     return np.where((s1 == s2) | (s1 == s3), s1, s3)
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """Result of ideal decoding: the corrected residual and afflicted logicals."""
-
-    failed: bool
-    afflicted: tuple[int, ...]
-    corrected: int
-
-
-def ideal_decode(code: CssCode, table: LookupTable, residual: int) -> DecodeOutcome:
-    """Noiselessly measure, correct from the table, and report which logical
-    qubits the corrected residual still acts on."""
-    corrected = residual ^ table.correction(table.syndrome_of(residual))
-    paired = code.logical_x if table.kind == "Z" else code.logical_z
-    afflicted = tuple(
-        i for i, op in enumerate(paired) if (corrected & op.bits).bit_count() & 1
-    )
-    return DecodeOutcome(failed=bool(afflicted), afflicted=afflicted, corrected=corrected)
-
-
 def format_table(table: LookupTable) -> str:
     """Text dump: one `syndrome_hex correction_hex` row per syndrome, with
     overridden (fault-derived) entries marked."""

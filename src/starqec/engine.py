@@ -26,10 +26,9 @@ from .circuits import (
     build_ec_circuit,
     category_value_count,
     fault_stream,
-    sample_faults,
 )
 from .codes import CssCode, get_builtin_code
-from .decoder import EcDecision, LookupTable, build_tables, ec_decision, ec_decisions
+from .decoder import build_tables, ec_decisions
 from .faulttol import (
     builtin_schedule,
     enumerate_single_fault_errors,
@@ -37,7 +36,7 @@ from .faulttol import (
     verify_properness,
     verify_unique_syndromes,
 )
-from .frames import FaultSig, PauliFrame, compute_signatures, propagate
+from .frames import FaultSig, compute_signatures
 from .scheduling import CnotSchedule
 
 
@@ -51,44 +50,6 @@ class TrialResult:
     @property
     def afflicted(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.afflicted_x) | set(self.afflicted_z)))
-
-
-@dataclass(frozen=True)
-class EcUnitOutcome:
-    frame: PauliFrame  # residual over data qubits, corrections applied
-    decision_x: EcDecision
-    decision_z: EcDecision
-    correction_x: int
-    correction_z: int
-    x_syndromes: tuple[int, ...]
-    z_syndromes: tuple[int, ...]
-
-
-def run_ec_unit(
-    circuit: EcCircuit,
-    tables: dict[str, LookupTable],
-    faults: list[tuple[int, int]] | None,
-    incoming: PauliFrame | None = None,
-) -> EcUnitOutcome:
-    """Reference EC unit: full-circuit propagation, then the decision rule per
-    error type, with corrections applied as Pauli-frame updates."""
-    if circuit.rounds != 3:
-        raise ValueError("an EC unit is a 3-round circuit")
-    prop = propagate(circuit, faults, incoming)
-    dx = ec_decision(*prop.x_syndromes)
-    dz = ec_decision(*prop.z_syndromes)
-    cx = tables["X"].correction(dx.syndrome)
-    cz = tables["Z"].correction(dz.syndrome)
-    data = circuit.data_mask
-    return EcUnitOutcome(
-        frame=PauliFrame((prop.frame.x & data) ^ cx, (prop.frame.z & data) ^ cz),
-        decision_x=dx,
-        decision_z=dz,
-        correction_x=cx,
-        correction_z=cz,
-        x_syndromes=prop.x_syndromes,
-        z_syndromes=prop.z_syndromes,
-    )
 
 
 def count_cnot_pairs(circuit: EcCircuit) -> int:
@@ -504,6 +465,14 @@ class EcKernel:
         """Ideal-decode probe: does a lane's corrected residual flip a logical?"""
         return self.parities(res).any(axis=1)
 
+    def afflicted(self, res: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per lane, the logical qubits its ideal decode leaves with an X-type
+        and with a Z-type logical fault: the logical ``parities``, unpacked."""
+        bits = np.unpackbits(self.parities(res).view(np.uint8), axis=1, bitorder="little")
+        half = bits.shape[1] // 2
+        return [(tuple(np.flatnonzero(row[:half]).tolist()),
+                 tuple(np.flatnonzero(row[half:]).tolist())) for row in bits]
+
 
 class Simulator:
     """Bundles a code with its verified schedule, lookup tables, 3-round EC
@@ -530,61 +499,30 @@ class Simulator:
     def for_builtin(cls, name: str) -> "Simulator":
         return cls(get_builtin_code(name), builtin_schedule(name))
 
-    # -- elementary outcomes --
-
-    def _unit(self, sigs, xin: int, zin: int) -> tuple[int, int]:
-        """Outcome of one EC unit given fault signatures and an incoming error."""
-        sxi = syndrome_bits(self._det_x, xin) if xin else 0
-        szi = syndrome_bits(self._det_z, zin) if zin else 0
-        sx0 = sx1 = sx2 = sxi
-        sz0 = sz1 = sz2 = szi
-        xr, zr = xin, zin
-        for sig in sigs:
-            xr ^= sig.x_res
-            zr ^= sig.z_res
-            xs = sig.x_syn
-            zs = sig.z_syn
-            sx0 ^= xs[0]
-            sx1 ^= xs[1]
-            sx2 ^= xs[2]
-            sz0 ^= zs[0]
-            sz1 ^= zs[1]
-            sz2 ^= zs[2]
-        dx = ec_decision(sx0, sx1, sx2)
-        dz = ec_decision(sz0, sz1, sz2)
-        return xr ^ self._x_corr[dx.syndrome], zr ^ self._z_corr[dz.syndrome]
-
-    def _decode(self, x: int, z: int, rounds: int | None = None) -> TrialResult:
-        """Ideal decode of a residual pair; reports afflicted logical qubits."""
-        cx = x ^ self._x_corr[syndrome_bits(self._det_x, x)] if x else 0
-        cz = z ^ self._z_corr[syndrome_bits(self._det_z, z)] if z else 0
-        ax = tuple(i for i, m in enumerate(self._logical_z) if (cx & m).bit_count() & 1)
-        az = tuple(i for i, m in enumerate(self._logical_x) if (cz & m).bit_count() & 1)
-        return TrialResult(bool(ax or az), ax, az, rounds)
-
     # -- exhaustive verification --
 
-    def distinct_signatures(self) -> tuple[list[FaultSig], np.ndarray]:
+    def distinct_signatures(self) -> tuple[tuple[FaultSig, ...], np.ndarray]:
         """Every distinct single-fault signature, the trivial one included, in
         the order atoms first show it, with its weight per unit p: the summed
         probabilities of its (location, value) atoms at p = 1. Malignancy
-        depends only on the signature, so the sweeps run over these."""
-        unit_noise = NoiseModel(1.0)
-        index: dict[FaultSig, int] = {}
-        weights: list[float] = []
-        for cat in _CATEGORIES:
-            w = unit_noise.category_prob(cat) / category_value_count(cat)
-            for row in self.signatures.by_category[cat][1]:
-                for sig in row:
-                    i = index.setdefault(sig, len(weights))
-                    if i == len(weights):
-                        weights.append(w)
-                    else:
-                        weights[i] += w
-        return list(index), np.array(weights)
-
-    def _fault_sigs(self) -> list[FaultSig]:
-        return [sig for sig in self.distinct_signatures()[0] if not sig.is_trivial]
+        depends only on the signature, so the sweeps run over these. Computed
+        on first use and kept; it reads only ``signatures``."""
+        if "_distinct" not in self.__dict__:
+            unit_noise = NoiseModel(1.0)
+            index: dict[FaultSig, int] = {}
+            weights: list[float] = []
+            for cat in _CATEGORIES:
+                w = unit_noise.category_prob(cat) / category_value_count(cat)
+                for row in self.signatures.by_category[cat][1]:
+                    for sig in row:
+                        i = index.setdefault(sig, len(weights))
+                        if i == len(weights):
+                            weights.append(w)
+                        else:
+                            weights[i] += w
+            self._distinct = tuple(index), np.array(weights)
+            self._distinct[1].flags.writeable = False
+        return self._distinct
 
     def verify_condition1(self) -> Condition1Report:
         """Exhaustive distance-3 fault-tolerance check of the EC unit.
@@ -605,14 +543,15 @@ class Simulator:
             q, kind = divmod(int(case), 2)
             violations.append(f"input {'XZ'[kind]} error on qubit {q} changes logical state")
         # (ii) r = 0, s = 1
-        distinct = self._fault_sigs()
+        distinct = [sig for sig in self.distinct_signatures()[0] if not sig.is_trivial]
         sigs = kernel.pack(distinct)
-        for case in np.flatnonzero(kernel.fails(kernel.decide(sigs))):
+        out = kernel.decide(sigs)
+        failed = np.flatnonzero(kernel.fails(out))
+        for case, (ax, az) in zip(failed, kernel.afflicted(out[failed])):
             sig = distinct[case]
-            res = self._decode(*self._unit((sig,), 0, 0))
             violations.append(
                 f"single fault with residual (x={sig.x_res:#x}, z={sig.z_res:#x}) "
-                f"causes logical fault {res.afflicted}"
+                f"causes logical fault {TrialResult(True, ax, az).afflicted}"
             )
         # (iii) modified second criterion
         inputs = sorted({
@@ -637,17 +576,15 @@ class Simulator:
         """No single fault anywhere in the two-unit exRec may cause a logical
         fault. A fault in unit 1 is followed by a clean unit 2."""
         kernel = self.kernel
-        distinct = self._fault_sigs()
+        distinct = [sig for sig in self.distinct_signatures()[0] if not sig.is_trivial]
         out = kernel.decide(kernel.pack(distinct))
-        failed = np.stack([kernel.fails(kernel.unit(out, [])), kernel.fails(out)])
-        violations = []
-        for case, unit_index in zip(*np.nonzero(failed.T)):
-            x, z = self._unit((distinct[case],), 0, 0)
-            if unit_index == 0:
-                x, z = self._unit((), x, z)
-            violations.append(
-                f"single fault in unit {unit_index + 1} fails: {self._decode(x, z).afflicted}"
-            )
+        # lane 2 * case + u holds the exRec's output for the fault in unit u + 1
+        ends = np.stack([kernel.unit(out, []), out], axis=1).reshape(-1, kernel.words)
+        failed = np.flatnonzero(kernel.fails(ends))
+        violations = [
+            f"single fault in unit {lane % 2 + 1} fails: {TrialResult(True, ax, az).afflicted}"
+            for lane, (ax, az) in zip(failed, kernel.afflicted(ends[failed]))
+        ]
         return ExRecSweepReport(2 * len(distinct), violations)
 
     def verify(self) -> VerificationReport:
@@ -659,43 +596,6 @@ class Simulator:
             condition1=self.verify_condition1(),
             exrec_sweep=self.verify_exrec_single_faults(),
         )
-
-    # -- sampling helpers --
-
-    def faults_to_sigs(self, faults: list[tuple[int, int]]) -> list[FaultSig]:
-        return [self.signatures.signature(loc, val) for loc, val in faults]
-
-    def run_exrec_trial(self, noise: NoiseModel, seed: int) -> TrialResult:
-        """One exRec: two consecutive EC units with independently sampled
-        faults, then ideal decoding of the final residual."""
-        rng = fault_stream(seed)
-        sigs1 = self.faults_to_sigs(sample_faults(self.circuit, noise, rng))
-        sigs2 = self.faults_to_sigs(sample_faults(self.circuit, noise, rng))
-        x1, z1 = self._unit(sigs1, 0, 0)
-        x2, z2 = self._unit(sigs2, x1, z1)
-        return self._decode(x2, z2)
-
-    def run_lifetime(
-        self, noise: NoiseModel, seed: int, max_rounds: int
-    ) -> TrialResult:
-        """One memory trajectory: EC units repeat, residuals carry over, and a
-        non-destructive ideal-decode probe detects the first logical fault.
-        Survival is censored at max_rounds."""
-        if max_rounds < 3:
-            raise ValueError("max_rounds must be >= 3")
-        rng = fault_stream(seed)
-        xf = zf = 0
-        units = max_rounds // 3
-        for u in range(units):
-            sigs = self.faults_to_sigs(sample_faults(self.circuit, noise, rng))
-            xf, zf = self._unit(sigs, xf, zf)
-            if xf or zf:
-                probe = self._decode(xf, zf)
-                if probe.failed:
-                    return TrialResult(
-                        True, probe.afflicted_x, probe.afflicted_z, 3 * (u + 1)
-                    )
-        return TrialResult(False, (), (), 3 * units)
 
     # -- Monte Carlo --
 
@@ -722,6 +622,8 @@ class Simulator:
         units = 2 if mode == "exrec" else 1
         if threads is None:
             threads = os.cpu_count() or 1
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
         out = []
         for point_idx, p in enumerate(ps):
             noise = NoiseModel(p)
@@ -756,10 +658,11 @@ class Simulator:
         self, noise: NoiseModel, seed: int, trajectory: int, max_rounds: int
     ) -> TrialResult:
         """One lifetime trajectory on the packed kernel, with its own
-        (seed, trajectory) stream; same physics as ``run_lifetime``."""
+        (seed, trajectory) stream; same physics as ``estimate_lifetime``."""
         rng = fault_stream(seed, trajectory)
         rounds, last, _ = self._lifetime_lanes(noise, rng, 1, max_rounds)
-        return self._decode(*self.kernel.unpack(last)[0], int(rounds[0]))
+        (ax, az), = self.kernel.afflicted(last)
+        return TrialResult(bool(ax or az), ax, az, int(rounds[0]))
 
     def _lifetime_lanes(self, noise: NoiseModel, rng, lanes: int, max_rounds: int):
         """Run ``lanes`` trajectories in lockstep until each fails its probe or
@@ -869,8 +772,10 @@ def _run_task(task) -> int:
 
 
 def _parallel_failures(sim, noise, units, seed, point_idx, tasks, threads) -> int:
+    """Failures over ``tasks`` on a fork pool of at most one worker per task."""
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(
-        processes=threads, initializer=_init_worker, initargs=(sim, noise, units, seed, point_idx)
+        processes=min(threads, len(tasks)), initializer=_init_worker,
+        initargs=(sim, noise, units, seed, point_idx),
     ) as pool:
         return sum(pool.map(_run_task, tasks))

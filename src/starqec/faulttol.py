@@ -25,7 +25,7 @@ from .scheduling import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultResidual:
     """Data error left by one fault, reduced modulo the check being measured."""
 
@@ -42,18 +42,22 @@ class FaultResidual:
 
 def enumerate_single_fault_errors(
     code: CssCode, schedule: CnotSchedule, kind: str, circuit: EcCircuit | None = None
-) -> list[FaultResidual]:
+) -> tuple[FaultResidual, ...]:
     """Residual ``kind``-type data errors of every single fault in one EC round.
 
     Each fault (all 15 Paulis per CNOT, the prep/measurement flips, X/Y/Z per
     idle) is read, location by location and value by value, from the
-    circuit's memoized signatures (``frames.compute_signatures``), so every
-    caller shares one propagation pass. The residual is reduced modulo the
-    check whose measurement hosted the fault, so every entry has weight at
-    most 2 for weight-5 checks.
+    circuit's memoized signatures (``frames.compute_signatures``). The
+    residual is reduced modulo the check whose measurement hosted the fault,
+    so every entry has weight at most 2 for weight-5 checks. Memoized per
+    kind on the circuit, so the tables, the unique-syndrome check and
+    condition 1 share one enumeration per kind.
     """
     if circuit is None:
         circuit = build_ec_circuit(code, schedule, rounds=1)
+    cache = circuit.__dict__.setdefault("_fault_residual_cache", {})
+    if kind in cache:
+        return cache[kind]
     det = detector_rows(code, kind, circuit)
     checks = code.checks(kind)
     signatures = compute_signatures(circuit)
@@ -77,7 +81,8 @@ def enumerate_single_fault_errors(
                     value=value,
                 )
             )
-    return out
+    cache[kind] = tuple(out)
+    return cache[kind]
 
 
 @dataclass

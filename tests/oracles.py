@@ -1,6 +1,21 @@
 """Naive unpacked reference implementations used as independent oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from starqec.circuits import (
+    CATEGORIES,
+    EcCircuit,
+    NoiseModel,
+    category_value_count,
+    fault_stream,
+)
+from starqec.codes import CssCode
+from starqec.decoder import EcDecision, LookupTable, ec_decision
+from starqec.engine import Condition1Report, ExRecSweepReport, TrialResult
+from starqec.faulttol import enumerate_single_fault_errors, syndrome_bits
+from starqec.frames import FaultSig, PauliFrame, propagate
 
 
 def naive_rank(dense: np.ndarray) -> int:
@@ -59,7 +74,158 @@ def naive_kernel(dense: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-# --- scalar EC-unit oracles: one case or pair at a time through Simulator._unit ---
+# --- scalar EC unit, ideal decoder, trials and fault sampler ---
+
+
+@dataclass(frozen=True)
+class EcUnitOutcome:
+    frame: PauliFrame  # residual over data qubits, corrections applied
+    decision_x: EcDecision
+    decision_z: EcDecision
+    correction_x: int
+    correction_z: int
+    x_syndromes: tuple[int, ...]
+    z_syndromes: tuple[int, ...]
+
+
+def run_ec_unit(
+    circuit: EcCircuit,
+    tables: dict[str, LookupTable],
+    faults: list[tuple[int, int]] | None,
+    incoming: PauliFrame | None = None,
+) -> EcUnitOutcome:
+    """Reference EC unit: full-circuit propagation, then the decision rule per
+    error type, with corrections applied as Pauli-frame updates."""
+    if circuit.rounds != 3:
+        raise ValueError("an EC unit is a 3-round circuit")
+    prop = propagate(circuit, faults, incoming)
+    dx = ec_decision(*prop.x_syndromes)
+    dz = ec_decision(*prop.z_syndromes)
+    cx = tables["X"].correction(dx.syndrome)
+    cz = tables["Z"].correction(dz.syndrome)
+    data = circuit.data_mask
+    return EcUnitOutcome(
+        frame=PauliFrame((prop.frame.x & data) ^ cx, (prop.frame.z & data) ^ cz),
+        decision_x=dx,
+        decision_z=dz,
+        correction_x=cx,
+        correction_z=cz,
+        x_syndromes=prop.x_syndromes,
+        z_syndromes=prop.z_syndromes,
+    )
+
+
+@dataclass(frozen=True)
+class DecodeOutcome:
+    """Result of ideal decoding: the corrected residual and afflicted logicals."""
+
+    failed: bool
+    afflicted: tuple[int, ...]
+    corrected: int
+
+
+def ideal_decode(code: CssCode, table: LookupTable, residual: int) -> DecodeOutcome:
+    """Noiselessly measure, correct from the table, and report which logical
+    qubits the corrected residual still acts on."""
+    corrected = residual ^ table.correction(table.syndrome_of(residual))
+    paired = code.logical_x if table.kind == "Z" else code.logical_z
+    afflicted = tuple(
+        i for i, op in enumerate(paired) if (corrected & op.bits).bit_count() & 1
+    )
+    return DecodeOutcome(failed=bool(afflicted), afflicted=afflicted, corrected=corrected)
+
+
+def sample_faults(
+    circuit: EcCircuit, noise: NoiseModel, rng: np.random.Generator
+) -> list[tuple[int, int]]:
+    """Draw one fault assignment: a sorted list of (location index, value).
+
+    Each location fails independently with its category's probability; a
+    failing CNOT draws one of 15 two-qubit Paulis, a failing idle one of
+    X/Y/Z, and prep/measurement failures have a single outcome.
+    """
+    out: list[tuple[int, int]] = []
+    for category in CATEGORIES:
+        locs = circuit.locations_of_category(category)
+        if not locs:
+            continue
+        q = noise.category_prob(category)
+        hits = np.flatnonzero(rng.random(len(locs)) < q)
+        n_values = category_value_count(category)
+        values = rng.integers(0, n_values, size=len(hits)) if n_values > 1 else None
+        for j, h in enumerate(hits):
+            out.append((locs[h], int(values[j]) if values is not None else 0))
+    out.sort()
+    return out
+
+
+def faults_to_sigs(sim, faults: list[tuple[int, int]]) -> list[FaultSig]:
+    return [sim.signatures.signature(loc, val) for loc, val in faults]
+
+
+def scalar_unit(sim, sigs, xin: int, zin: int) -> tuple[int, int]:
+    """Outcome of one EC unit given fault signatures and an incoming error."""
+    sxi = syndrome_bits(sim._det_x, xin) if xin else 0
+    szi = syndrome_bits(sim._det_z, zin) if zin else 0
+    sx0 = sx1 = sx2 = sxi
+    sz0 = sz1 = sz2 = szi
+    xr, zr = xin, zin
+    for sig in sigs:
+        xr ^= sig.x_res
+        zr ^= sig.z_res
+        xs = sig.x_syn
+        zs = sig.z_syn
+        sx0 ^= xs[0]
+        sx1 ^= xs[1]
+        sx2 ^= xs[2]
+        sz0 ^= zs[0]
+        sz1 ^= zs[1]
+        sz2 ^= zs[2]
+    dx = ec_decision(sx0, sx1, sx2)
+    dz = ec_decision(sz0, sz1, sz2)
+    return xr ^ sim._x_corr[dx.syndrome], zr ^ sim._z_corr[dz.syndrome]
+
+
+def scalar_decode(sim, x: int, z: int, rounds: int | None = None) -> TrialResult:
+    """Ideal decode of a residual pair; reports afflicted logical qubits."""
+    cx = x ^ sim._x_corr[syndrome_bits(sim._det_x, x)] if x else 0
+    cz = z ^ sim._z_corr[syndrome_bits(sim._det_z, z)] if z else 0
+    ax = tuple(i for i, m in enumerate(sim._logical_z) if (cx & m).bit_count() & 1)
+    az = tuple(i for i, m in enumerate(sim._logical_x) if (cz & m).bit_count() & 1)
+    return TrialResult(bool(ax or az), ax, az, rounds)
+
+
+def run_exrec_trial(sim, noise: NoiseModel, seed: int) -> TrialResult:
+    """One exRec: two consecutive EC units with independently sampled
+    faults, then ideal decoding of the final residual."""
+    rng = fault_stream(seed)
+    sigs1 = faults_to_sigs(sim, sample_faults(sim.circuit, noise, rng))
+    sigs2 = faults_to_sigs(sim, sample_faults(sim.circuit, noise, rng))
+    x1, z1 = scalar_unit(sim, sigs1, 0, 0)
+    x2, z2 = scalar_unit(sim, sigs2, x1, z1)
+    return scalar_decode(sim, x2, z2)
+
+
+def run_lifetime(sim, noise: NoiseModel, seed: int, max_rounds: int) -> TrialResult:
+    """One memory trajectory: EC units repeat, residuals carry over, and a
+    non-destructive ideal-decode probe detects the first logical fault.
+    Survival is censored at max_rounds."""
+    if max_rounds < 3:
+        raise ValueError("max_rounds must be >= 3")
+    rng = fault_stream(seed)
+    xf = zf = 0
+    units = max_rounds // 3
+    for u in range(units):
+        sigs = faults_to_sigs(sim, sample_faults(sim.circuit, noise, rng))
+        xf, zf = scalar_unit(sim, sigs, xf, zf)
+        if xf or zf:
+            probe = scalar_decode(sim, xf, zf)
+            if probe.failed:
+                return TrialResult(True, probe.afflicted_x, probe.afflicted_z, 3 * (u + 1))
+    return TrialResult(False, (), (), 3 * units)
+
+
+# --- case-at-a-time sweeps and pair rules through scalar_unit ---
 
 
 def _distinct_fault_sigs(sim):
@@ -73,9 +239,6 @@ def _distinct_fault_sigs(sim):
 
 def scalar_condition1(sim):
     """``Simulator.verify_condition1`` one case at a time."""
-    from starqec.engine import Condition1Report
-    from starqec.faulttol import enumerate_single_fault_errors, syndrome_bits
-
     violations = []
     n = sim.code.n
     input_cases = 0
@@ -85,14 +248,15 @@ def scalar_condition1(sim):
             zin = (1 << q) if kind == "Z" else 0
             input_cases += 1
             # TrialResults compare by afflicted logicals (rounds are None)
-            if sim._decode(xin, zin) != sim._decode(*sim._unit((), xin, zin)):
+            before = scalar_decode(sim, xin, zin)
+            if before != scalar_decode(sim, *scalar_unit(sim, (), xin, zin)):
                 violations.append(f"input {kind} error on qubit {q} changes logical state")
     distinct = _distinct_fault_sigs(sim)
     fault_cases = 0
     for sig in distinct:
-        xo, zo = sim._unit((sig,), 0, 0)
+        xo, zo = scalar_unit(sim, (sig,), 0, 0)
         fault_cases += 1
-        res = sim._decode(xo, zo)
+        res = scalar_decode(sim, xo, zo)
         if res.failed:
             violations.append(
                 f"single fault with residual (x={sig.x_res:#x}, z={sig.z_res:#x}) "
@@ -108,7 +272,7 @@ def scalar_condition1(sim):
     correctability_cases = 0
     for xin, zin in sorted(inputs):
         for sig in distinct:
-            xo, zo = sim._unit((sig,), xin, zin)
+            xo, zo = scalar_unit(sim, (sig,), xin, zin)
             correctability_cases += 1
             cx = xo ^ sim._x_corr[syndrome_bits(sim._det_x, xo)]
             cz = zo ^ sim._z_corr[syndrome_bits(sim._det_z, zo)]
@@ -121,34 +285,32 @@ def scalar_condition1(sim):
 
 def scalar_exrec_sweep(sim):
     """``Simulator.verify_exrec_single_faults`` one case at a time."""
-    from starqec.engine import ExRecSweepReport
-
     violations = []
     cases = 0
     for sig in _distinct_fault_sigs(sim):
         for unit_index in (0, 1):
             if unit_index == 0:
-                x1, z1 = sim._unit((sig,), 0, 0)
-                x2, z2 = sim._unit((), x1, z1)
+                x1, z1 = scalar_unit(sim, (sig,), 0, 0)
+                x2, z2 = scalar_unit(sim, (), x1, z1)
             else:
-                x2, z2 = sim._unit((sig,), 0, 0)
+                x2, z2 = scalar_unit(sim, (sig,), 0, 0)
             cases += 1
-            res = sim._decode(x2, z2)
+            res = scalar_decode(sim, x2, z2)
             if res.failed:
                 violations.append(f"single fault in unit {unit_index + 1} fails: {res.afflicted}")
     return ExRecSweepReport(cases, violations)
 
 
 def _both_in_unit1(sim, a, b):
-    return sim._decode(*sim._unit((), *sim._unit((a, b), 0, 0))).failed
+    return scalar_decode(sim, *scalar_unit(sim, (), *scalar_unit(sim, (a, b), 0, 0))).failed
 
 
 def _both_in_unit2(sim, a, b):
-    return sim._decode(*sim._unit((a, b), 0, 0)).failed
+    return scalar_decode(sim, *scalar_unit(sim, (a, b), 0, 0)).failed
 
 
 def _one_in_each(sim, a, b):
-    return sim._decode(*sim._unit((b,), *sim._unit((a,), 0, 0))).failed
+    return scalar_decode(sim, *scalar_unit(sim, (b,), *scalar_unit(sim, (a,), 0, 0))).failed
 
 
 def scalar_malignant(sim, a, b):
@@ -160,8 +322,6 @@ def scalar_malignant(sim, a, b):
 
 def scalar_exact_c(sim):
     """``exact_quadratic_coefficient`` one signature pair at a time."""
-    from starqec.circuits import NoiseModel, category_value_count
-
     cats = ("cnot", "prep", "meas", "idle")
     per_val = {cat: NoiseModel(1.0).category_prob(cat) / category_value_count(cat) for cat in cats}
     groups, sig_list, w_list = {}, [], []

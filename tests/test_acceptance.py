@@ -15,7 +15,6 @@ from starqec.circuits import (
     NoiseModel,
     category_value_count,
     fault_stream,
-    sample_faults,
 )
 from starqec.codes import distance_upto, ssd_triangle_logicals, verify_logical_basis
 from starqec.engine import count_cnot_pairs, fit_quadratic, m_copy_failure
@@ -24,7 +23,7 @@ from starqec.frames import propagate
 from starqec.gf2 import BitMatrix, kernel_basis, rank
 from starqec.scheduling import verify_properness
 
-from oracles import naive_kernel, naive_rank
+from oracles import naive_kernel, naive_rank, sample_faults
 
 SEED = 2026
 GRID = [3e-4, 1e-3, 3e-3]

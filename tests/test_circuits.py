@@ -13,12 +13,13 @@ from starqec.circuits import (
     cnot_fault_components,
     fault_stream,
     format_circuit,
-    sample_faults,
 )
 from starqec.codes import CssCode
 from starqec.faulttol import builtin_schedule
 from starqec.gf2 import BitMatrix
 from starqec.scheduling import CnotSchedule
+
+from oracles import sample_faults
 
 
 @pytest.fixture(scope="module")

@@ -149,6 +149,17 @@ class TestSim:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_exrec_rejects_bad_threads(self, runner, monkeypatch, threads):
+        def no_build(*args, **kwargs):
+            raise AssertionError("Simulator built before --threads was checked")
+
+        monkeypatch.setattr("starqec.cli.Simulator", no_build)
+        res = runner.invoke(main, ["sim", "exrec", "--code", "surface17", "--p", "0.003",
+                                   "--trials", "10", "--threads", threads])
+        assert res.exit_code == 2, res.output
+        assert "--threads must be >= 1" in res.output
+
     def test_lifetime_summary(self, runner, tmp_path):
         out = tmp_path / "life.csv"
         res = runner.invoke(

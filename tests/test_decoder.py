@@ -14,12 +14,12 @@ from starqec.decoder import (
     ec_decision,
     ec_decisions,
     format_table,
-    ideal_decode,
 )
 from starqec.faulttol import builtin_schedule, enumerate_single_fault_errors
 from starqec.gf2 import RowSpace
 from starqec.scheduling import build_check_graph, dsatur_color, schedule_from_colorings
 
+from oracles import ideal_decode
 from test_faulttol import reordered_ssd_schedule
 
 

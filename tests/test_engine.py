@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 from itertools import combinations
 from types import SimpleNamespace
@@ -13,8 +14,8 @@ from starqec.circuits import (
     build_ec_circuit,
     category_value_count,
     fault_stream,
-    sample_faults,
 )
+from starqec import engine
 from starqec.codes import CssCode
 from starqec.engine import (
     _CATEGORIES,
@@ -30,7 +31,6 @@ from starqec.engine import (
     malignant_same_unit,
     m_copy_failure,
     read_results_csv,
-    run_ec_unit,
     wilson_interval,
     write_results_csv,
 )
@@ -39,7 +39,19 @@ from starqec.frames import FaultSig, PauliFrame
 from starqec.gf2 import BitMatrix, RowSpace
 from starqec.scheduling import CnotSchedule
 
-from oracles import scalar_condition1, scalar_exact_c, scalar_exrec_sweep, scalar_malignant
+from oracles import (
+    faults_to_sigs,
+    run_ec_unit,
+    run_exrec_trial,
+    run_lifetime,
+    sample_faults,
+    scalar_condition1,
+    scalar_decode,
+    scalar_exact_c,
+    scalar_exrec_sweep,
+    scalar_malignant,
+    scalar_unit,
+)
 
 
 class TestEcUnit:
@@ -74,7 +86,7 @@ class TestEcUnit:
                 out = run_ec_unit(circuit, ssd_sim.tables, [(i, value)])
                 assert out.z_syndromes[0] == 0 and out.z_syndromes[1] == 0
                 assert out.x_syndromes[0] == 0 and out.x_syndromes[1] == 0
-                res = ssd_sim._decode(out.frame.x, out.frame.z)
+                res = scalar_decode(ssd_sim, out.frame.x, out.frame.z)
                 assert not res.failed
                 checked += 1
         assert checked
@@ -86,8 +98,8 @@ class TestEcUnit:
         for trial in range(40):
             faults = sample_faults(ssd_sim.circuit, noise, fault_stream(1000 + trial))
             ref = run_ec_unit(ssd_sim.circuit, ssd_sim.tables, faults)
-            sigs = ssd_sim.faults_to_sigs(faults)
-            x, z = ssd_sim._unit(sigs, 0, 0)
+            sigs = faults_to_sigs(ssd_sim, faults)
+            x, z = scalar_unit(ssd_sim, sigs, 0, 0)
             assert (x, z) == (ref.frame.x, ref.frame.z)
 
     def test_fast_combination_with_incoming(self, s17_sim):
@@ -100,7 +112,7 @@ class TestEcUnit:
             ref = run_ec_unit(
                 s17_sim.circuit, s17_sim.tables, faults, PauliFrame(x=xin, z=zin)
             )
-            x, z = s17_sim._unit(s17_sim.faults_to_sigs(faults), xin, zin)
+            x, z = scalar_unit(s17_sim, faults_to_sigs(s17_sim, faults), xin, zin)
             assert (x, z) == (ref.frame.x, ref.frame.z)
 
 
@@ -122,8 +134,9 @@ def kernel_atoms(sim, fault_sets):
 class TestKernel:
     @pytest.mark.parametrize("code", ["surface17", "ssd"])
     def test_unit_and_probe_match_scalar(self, code, ssd_sim, s17_sim):
-        # the packed kernel must reproduce Simulator._unit and _decode
-        # exactly on random fault sets with random incoming residuals
+        # the packed kernel must reproduce the scalar unit and ideal decode,
+        # afflicted logicals included, exactly on random fault sets with
+        # random incoming residuals
         sim = ssd_sim if code == "ssd" else s17_sim
         n = sim.code.n
         rng = np.random.default_rng(31)
@@ -144,11 +157,15 @@ class TestKernel:
         res = kernel.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in incoming])
         out = kernel.unit(res, kernel_atoms(sim, fault_sets))
         got = kernel.unpack(out)
-        want = [sim._unit(sim.faults_to_sigs(f), x, z) for f, (x, z) in zip(fault_sets, incoming)]
+        want = [
+            scalar_unit(sim, faults_to_sigs(sim, f), x, z) for f, (x, z) in zip(fault_sets, incoming)
+        ]
         assert sum(g != w for g, w in zip(got, want)) == 0
         for lanes_in, pairs in ((out, want), (res, incoming)):
             probe = kernel.fails(lanes_in)
-            assert sum(bool(f) != sim._decode(x, z).failed for f, (x, z) in zip(probe, pairs)) == 0
+            decoded = [scalar_decode(sim, x, z) for x, z in pairs]
+            assert sum(bool(f) != d.failed for f, d in zip(probe, decoded)) == 0
+            assert kernel.afflicted(lanes_in) == [(d.afflicted_x, d.afflicted_z) for d in decoded]
         assert 0 < kernel.fails(out).sum() < lanes  # both outcomes exercised
 
     @pytest.mark.parametrize("width, words", [(62, 4), (70, 4), (130, 6)])
@@ -174,12 +191,11 @@ class TestKernel:
         res = kernel.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in incoming])
         assert kernel.unpack(res) == incoming
         out = kernel.unit(res, kernel_atoms(s17_sim, faults))
-        want = [
-            s17_sim._unit(s17_sim.faults_to_sigs(f), x, z) for f, (x, z) in zip(faults, incoming)
-        ]
+        want = [scalar_unit(s17_sim, faults_to_sigs(s17_sim, f), x, z)
+                for f, (x, z) in zip(faults, incoming)]
         assert kernel.unpack(out) == want
         probe = kernel.fails(out)
-        assert [bool(f) for f in probe] == [s17_sim._decode(x, z).failed for x, z in want]
+        assert [bool(f) for f in probe] == [scalar_decode(s17_sim, x, z).failed for x, z in want]
 
     def test_sampler_frequencies_and_exclusion(self, ssd_sim):
         # the sampler both estimators run: 5-sigma per-(category, value)
@@ -228,7 +244,7 @@ class TestKernel:
 
     def test_lockstep_lifetime_matches_scalar_oracle(self, s17_sim):
         noise = NoiseModel(5e-3)
-        oracle = [s17_sim.run_lifetime(noise, 1000 + i, 3000).rounds_survived for i in range(2000)]
+        oracle = [run_lifetime(s17_sim, noise, 1000 + i, 3000).rounds_survived for i in range(2000)]
         mean = sum(oracle) / len(oracle)
         sd = math.sqrt(sum((r - mean) ** 2 for r in oracle) / (len(oracle) - 1))
         summary = s17_sim.estimate_lifetime(noise, 20_000, seed=5, max_rounds=3000)
@@ -375,6 +391,12 @@ class TestExactC:
         assert want > 1.1 * exact_quadratic_coefficient(s17_sim)
         assert exact_quadratic_coefficient(sim) == pytest.approx(want, rel=1e-9)
 
+    def test_distinct_signatures_computed_once_on_first_use(self, s17_sim):
+        assert "_distinct" not in vars(Simulator.for_builtin("surface17"))
+        distinct = s17_sim.distinct_signatures()
+        assert s17_sim.distinct_signatures() is distinct
+        assert not distinct[1].flags.writeable
+
     @pytest.mark.parametrize("code", ["surface17", "ssd", "surface17-bad-syndrome"])
     def test_pair_rules_match_scalar(self, code, ssd_sim, s17_sim):
         # kernel malignancy of random signature pairs, the trivial signature
@@ -400,20 +422,52 @@ class TestTrials:
     def test_zero_noise_never_fails(self, s17_sim):
         noise = NoiseModel(0.0)
         for seed in range(5):
-            assert not s17_sim.run_exrec_trial(noise, seed).failed
+            assert not run_exrec_trial(s17_sim, noise, seed).failed
         pts = s17_sim.estimate_pl([1e-9], 1000, seed=3)
         assert pts[0].failures == 0
 
     def test_trial_reproducible(self, s17_sim):
         noise = NoiseModel(0.02)
-        a = s17_sim.run_exrec_trial(noise, 99)
-        b = s17_sim.run_exrec_trial(noise, 99)
+        a = run_exrec_trial(s17_sim, noise, 99)
+        b = run_exrec_trial(s17_sim, noise, 99)
         assert a == b
 
     def test_estimate_reproducible_and_thread_invariant(self, s17_sim):
         a = s17_sim.estimate_pl([2e-3], 30000, seed=5, threads=1, batch_size=4096)
         b = s17_sim.estimate_pl([2e-3], 30000, seed=5, threads=2, batch_size=4096)
         assert a[0].failures == b[0].failures
+
+    def test_pool_has_at_most_one_worker_per_batch(self, s17_sim, monkeypatch):
+        # a fake fork context records the pool size and runs the batches in
+        # this process, so no worker is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(engine, "_WORKER_STATE", None)
+        monkeypatch.setattr(
+            engine.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool)
+        )
+        args = ([2e-3], 3 * 4096, 5)
+        capped = s17_sim.estimate_pl(*args, threads=5000, batch_size=4096)
+        assert sizes == [3]
+        assert capped == s17_sim.estimate_pl(*args, threads=1, batch_size=4096)
+        for threads in (0, -2):
+            with pytest.raises(ValueError):
+                s17_sim.estimate_pl(*args, threads=threads)
+        assert sizes == [3]
 
     def test_cross_seed_agreement(self, s17_sim):
         # estimates from disjoint seeds agree within 3 combined standard errors
@@ -439,7 +493,7 @@ class TestTrials:
 
 class TestLifetime:
     def test_zero_noise_survives_to_censor(self, s17_sim):
-        res = s17_sim.run_lifetime(NoiseModel(0.0), seed=1, max_rounds=30)
+        res = run_lifetime(s17_sim, NoiseModel(0.0), seed=1, max_rounds=30)
         assert not res.failed
         assert res.rounds_survived == 30
 
@@ -447,6 +501,18 @@ class TestLifetime:
         res = s17_sim.run_lifetime_fast(NoiseModel(5e-3), seed=2, trajectory=0, max_rounds=3000)
         assert res.rounds_survived is not None
         assert res.rounds_survived % 3 == 0
+
+    @pytest.mark.parametrize("code, p, digest", [
+        ("surface17", 2e-2, "cf1d3d9618b64c383ba46cab9b10a0b1d9c1ab3d23c40bf2f97e7facf7ae2d1f"),
+        ("ssd", 5e-3, "fd27d82d1442db03b77b87dcef60746172cb94bcc6e0708ea06b6a8cce7a3ebd"),
+    ])
+    def test_fast_trajectories_match_recorded(self, code, p, digest, ssd_sim, s17_sim):
+        # SHA-256 of the repr of 100 trajectories' TrialResults as the scalar
+        # ideal decode reported them: rounds, and afflicted logicals per type
+        # (SSD has trajectories with several logicals, and with both types)
+        sim = ssd_sim if code == "ssd" else s17_sim
+        results = [sim.run_lifetime_fast(NoiseModel(p), 3, t, 3000) for t in range(100)]
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
 
     def test_summary_counts(self, s17_sim):
         summary = s17_sim.estimate_lifetime(NoiseModel(5e-3), 50, seed=3, max_rounds=6000)

@@ -1,7 +1,11 @@
 import time
 
+import pytest
+
+from starqec import faulttol
 from starqec.circuits import build_ec_circuit
 from starqec.codes import independent_rows
+from starqec.engine import Simulator
 from starqec.faulttol import (
     builtin_schedule,
     detector_rows,
@@ -60,6 +64,24 @@ class TestEnumeration:
             ssd_code, sched, "X", circuit)]
         assert atoms == sorted(atoms) and len(set(atoms)) == len(atoms)
         assert [loc for loc, value in atoms if value == 0] == list(range(len(circuit.locations)))
+
+    @pytest.mark.parametrize("name", ["ssd", "surface17"])
+    def test_build_and_verify_enumerate_each_kind_once(self, monkeypatch, name):
+        # the enumeration is memoized per (circuit, kind), and an uncached
+        # pass reads the circuit's signatures once: the tables, the
+        # unique-syndrome checks and condition 1 share one pass per kind
+        passes = []
+        signatures = faulttol.compute_signatures
+
+        def counted(circuit):
+            passes.append(circuit)
+            return signatures(circuit)
+
+        monkeypatch.setattr(faulttol, "compute_signatures", counted)
+        sim = Simulator.for_builtin(name)
+        assert sim.verify().ok
+        assert len(passes) == 2
+        assert all(circuit is sim.unit_circuit for circuit in passes)
 
     def test_syndromes_are_ideal(self, ssd_code):
         sched = builtin_schedule("ssd")
