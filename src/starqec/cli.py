@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .circuits import NoiseModel
+from .circuits import NoiseModel, build_ec_circuit
 from .codes import CssCode, code_from_complex, distance_upto, get_builtin_code, verify_logical_basis
 from .complexes import ComplexFormatError, load_complex
 from .decoder import DecoderBuildError, build_tables, format_table
@@ -91,11 +91,11 @@ def _resolve_schedule(code: CssCode, code_name: str | None, schedule_path: str |
     return find_fault_tolerant_schedule(code, retries=retries).schedule
 
 
-def _with_decoder(build, code: CssCode, schedule: CnotSchedule):
-    """``build(code, schedule)``, where ``build`` makes lookup tables; a table
-    that cannot or may not be built is a usage error."""
+def _with_decoder(build, *args):
+    """``build(*args)``, where ``build`` makes lookup tables; a table that
+    cannot or may not be built is a usage error."""
     try:
-        return build(code, schedule)
+        return build(*args)
     except DecoderBuildError as exc:
         raise click.UsageError(f"cannot build the decoder: {exc}") from None
 
@@ -202,7 +202,7 @@ def schedule_verify(code_name, complex_file, schedule_path):
     click.echo(f"properness: {'ok' if prop.ok else 'FAIL'}")
     for xi, zj, qubits in prop.improper_pairs[:10]:
         click.echo(f"  improper pair X{xi}/Z{zj} on qubits {qubits}")
-    uniq = verify_unique_syndromes(c, sched)
+    uniq = verify_unique_syndromes(build_ec_circuit(c, sched, rounds=1))
     click.echo(f"unique syndromes: {'ok' if uniq.ok else 'FAIL'}")
     for kind, collisions in uniq.collisions.items():
         for s, a, b in collisions[:10]:
@@ -228,7 +228,7 @@ def decoder_build(code_name, complex_file, schedule_path, retries, out):
     """Build the X- and Z-error lookup tables and write their dumps."""
     c = _resolve_code(code_name, complex_file)
     sched = _resolve_schedule(c, code_name, schedule_path, retries)
-    tables = _with_decoder(build_tables, c, sched)
+    tables = _with_decoder(build_tables, build_ec_circuit(c, sched, rounds=1))
     out_dir = Path(out) if out else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind, table in tables.items():
@@ -248,7 +248,7 @@ def decoder_dump(code_name, complex_file, schedule_path, kind, retries, out):
     """Write one lookup table as text (stdout by default)."""
     c = _resolve_code(code_name, complex_file)
     sched = _resolve_schedule(c, code_name, schedule_path, retries)
-    tables = _with_decoder(build_tables, c, sched)
+    tables = _with_decoder(build_tables, build_ec_circuit(c, sched, rounds=1))
     text = format_table(tables[kind])
     if out:
         Path(out).write_text(text)
@@ -407,6 +407,13 @@ def sim_lifetime(code_name, complex_file, schedule_path, ps, trials, rounds_max,
 # --- fit ----------------------------------------------------------------
 
 
+def _read_results(path: str) -> list[ResultRow]:
+    try:
+        return read_results_csv(path)
+    except ValueError as exc:
+        raise click.UsageError(f"bad results file {path}: {exc}") from None
+
+
 @main.command("fit")
 @click.option("--results", type=click.Path(exists=True), required=True)
 @click.option("--compare", type=click.Path(exists=True), default=None,
@@ -416,7 +423,10 @@ def sim_lifetime(code_name, complex_file, schedule_path, ps, trials, rounds_max,
 @click.option("--out", type=click.Path(), default=None, help="Write the fit summary JSON.")
 def fit_cmd(results, compare, m_copies, min_failures, out):
     """Fit p_L = c p^2, report the pseudo-threshold, optionally compare m copies."""
-    rows = read_results_csv(results)
+    if compare and m_copies < 1:
+        raise click.UsageError(f"--m-copies must be >= 1, got {m_copies}")
+    rows = _read_results(results)
+    other_rows = _read_results(compare) if compare else None
     points = [PointEstimate(r.p, r.trials, r.failures) for r in rows]
     try:
         fit = fit_quadratic(points, min_failures=min_failures)
@@ -429,7 +439,6 @@ def fit_cmd(results, compare, m_copies, min_failures, out):
     if out:
         Path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if compare:
-        other_rows = read_results_csv(compare)
         other = fit_quadratic(
             [PointEstimate(r.p, r.trials, r.failures) for r in other_rows],
             min_failures=min_failures,

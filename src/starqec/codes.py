@@ -55,14 +55,6 @@ class CssCode:
     def z_check_weights(self) -> list[int]:
         return [r.bit_count() for r in self.hz.rows]
 
-    def x_syndrome(self, z_error: BitVector) -> BitVector:
-        """Syndrome of a Z-type error, as measured by the X-checks."""
-        return mat_vec(self.hx, z_error)
-
-    def z_syndrome(self, x_error: BitVector) -> BitVector:
-        """Syndrome of an X-type error, as measured by the Z-checks."""
-        return mat_vec(self.hz, x_error)
-
     def checks(self, kind: str) -> BitMatrix:
         if kind == "X":
             return self.hx

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import EcCircuit, build_ec_circuit
-from .codes import CssCode
+from .circuits import EcCircuit
 from .faulttol import (
     detector_rows,
     enumerate_single_fault_errors,
@@ -16,7 +15,6 @@ from .faulttol import (
     verify_unique_syndromes,
 )
 from .gf2 import RowSpace
-from .scheduling import CnotSchedule
 
 
 MAX_TABLE_ENTRIES = 1 << 20  # syndromes a full lookup table may have: 20 measured checks
@@ -53,10 +51,8 @@ class LookupTable:
         return syndrome_bits(self.detect_rows, error)
 
 
-def build_lookup_table(
-    code: CssCode, schedule: CnotSchedule, kind: str, circuit: EcCircuit | None = None
-) -> LookupTable:
-    """Build the table for ``kind``-type errors.
+def build_lookup_table(circuit: EcCircuit, kind: str) -> LookupTable:
+    """Build the table for ``kind``-type errors of the one-round circuit's code.
 
     Entries are minimum-weight errors (breadth-first over weight, ties to the
     lexicographically smallest support); entries whose syndrome matches a
@@ -65,16 +61,15 @@ def build_lookup_table(
     A table of more than ``MAX_TABLE_ENTRIES`` syndromes is refused before
     anything is allocated for it.
     """
-    if circuit is None:
-        circuit = build_ec_circuit(code, schedule, rounds=1)
-    det = detector_rows(code, kind, circuit)
+    code = circuit.code
+    det = detector_rows(circuit, kind)
     size = 1 << len(det)
     if size > MAX_TABLE_ENTRIES:
         raise DecoderBuildError(
             f"a full {kind}-error lookup table needs 2^{len(det)} entries for "
             f"{len(det)} measured checks; the bound is {MAX_TABLE_ENTRIES} (2^20)"
         )
-    uniqueness = verify_unique_syndromes(code, schedule, circuit)
+    uniqueness = verify_unique_syndromes(circuit)
     if not uniqueness.ok:
         raise DecoderBuildError(
             f"schedule fails the unique-syndrome condition: {uniqueness.collisions}"
@@ -103,7 +98,7 @@ def build_lookup_table(
 
     stabilizer = RowSpace.of_matrix(code.checks(kind))
     overridden = set()
-    for fr in enumerate_single_fault_errors(code, schedule, kind, circuit):
+    for fr in enumerate_single_fault_errors(circuit, kind):
         if fr.residual == 0 or fr.weight > 2:
             continue
         current = corrections[fr.syndrome]
@@ -120,16 +115,10 @@ def build_lookup_table(
     )
 
 
-def build_tables(
-    code: CssCode, schedule: CnotSchedule, circuit: EcCircuit | None = None
-) -> dict[str, LookupTable]:
-    """X- and Z-error tables; decoding of the two types is fully independent."""
-    if circuit is None:
-        circuit = build_ec_circuit(code, schedule, rounds=1)
-    return {
-        "X": build_lookup_table(code, schedule, "X", circuit),
-        "Z": build_lookup_table(code, schedule, "Z", circuit),
-    }
+def build_tables(circuit: EcCircuit) -> dict[str, LookupTable]:
+    """X- and Z-error tables of the one-round circuit; decoding of the two
+    types is fully independent."""
+    return {kind: build_lookup_table(circuit, kind) for kind in ("X", "Z")}
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .decoder import build_tables, ec_decisions
 from .faulttol import (
     builtin_schedule,
     enumerate_single_fault_errors,
-    syndrome_bits,
     verify_properness,
     verify_unique_syndromes,
 )
@@ -213,22 +212,31 @@ def write_results_csv(path: str | Path, rows: list[ResultRow]) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
+    """The rows of a results CSV; a missing column or a field of the wrong
+    type raises ValueError."""
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ResultRow(
-                    code=rec["code"],
-                    mode=rec["mode"],
-                    p=float(rec["p"]),
-                    trials=int(rec["trials"]),
-                    failures=int(rec["failures"]),
-                    p_l=float(rec["p_l"]),
-                    ci_low=float(rec["ci_low"]),
-                    ci_high=float(rec["ci_high"]),
-                    seed=int(rec["seed"]),
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing column(s): {', '.join(missing)}")
+        for rec in reader:
+            try:
+                rows.append(
+                    ResultRow(
+                        code=rec["code"],
+                        mode=rec["mode"],
+                        p=float(rec["p"]),
+                        trials=int(rec["trials"]),
+                        failures=int(rec["failures"]),
+                        p_l=float(rec["p_l"]),
+                        ci_low=float(rec["ci_low"]),
+                        ci_high=float(rec["ci_high"]),
+                        seed=int(rec["seed"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -337,8 +345,9 @@ class EcKernel:
         n = self._n = sim.code.n
         self._types = []  # (residual offset, round-syndrome offsets, width) for X, Z
         base = 0
-        for det in (sim._det_x, sim._det_z):
-            r, pos, offsets = len(det), n, []
+        tables = (sim.tables["X"], sim.tables["Z"])
+        for t in tables:
+            r, pos, offsets = len(t.detect_rows), n, []
             for _ in range(3):
                 pos = pos if pos % 64 + r <= 64 else -(-pos // 64) * 64
                 offsets.append(base + pos)
@@ -353,16 +362,17 @@ class EcKernel:
             _locs, rows = sim.signatures.by_category[cat]
             self._sizes.append((len(rows), category_value_count(cat)))
             self._atoms.append(self.pack([sig for row in rows for sig in row]))
-        self._corr = [_pack(len(corr), w, [(b, n, corr)])
-                      for (b, _o, _r), corr in zip(self._types, (sim._x_corr, sim._z_corr))]
+        self._corr = [_pack(t.syndrome_count, w, [(b, n, t.corrections)])
+                      for (b, _o, _r), t in zip(self._types, tables)]
         # Per residual byte: its syndrome in all three rounds, and its logical parities.
         self._cols, syn3 = [], []
-        for (b, offsets, r), det in zip(self._types, (sim._det_x, sim._det_z)):
+        for (b, offsets, r), t in zip(self._types, tables):
             self._cols += range(b // 8, b // 8 + -(-n // 8))
-            syn = [syndrome_bits(det, 1 << q) for q in range(n)]
+            syn = [t.syndrome_of(1 << q) for q in range(n)]
             syn3.append(_byte_luts(_pack(n, w, [(off, r, syn) for off in offsets])))
         self._syn3 = np.concatenate(syn3)
-        self._parity = self.parity_table(sim._logical_z, sim._logical_x)
+        self._parity = self.parity_table([op.bits for op in sim.code.logical_z],
+                                         [op.bits for op in sim.code.logical_x])
 
     def parity_table(self, x_rows, z_rows) -> np.ndarray:
         """Per residual byte, the parities of the X part with each of ``x_rows``
@@ -486,13 +496,7 @@ class Simulator:
         # One walk of the unit circuit's atoms, memoized on it: the 3-round
         # signatures derive from it, and the tables and verify() read it.
         self.signatures = compute_signatures(self.circuit)
-        self.tables = build_tables(code, schedule, self.unit_circuit)
-        self._det_x = self.tables["X"].detect_rows
-        self._det_z = self.tables["Z"].detect_rows
-        self._x_corr = self.tables["X"].corrections
-        self._z_corr = self.tables["Z"].corrections
-        self._logical_z = tuple(op.bits for op in code.logical_z)
-        self._logical_x = tuple(op.bits for op in code.logical_x)
+        self.tables = build_tables(self.unit_circuit)
         self.kernel = EcKernel(self)  # the EC unit both Monte Carlo estimators run
 
     @classmethod
@@ -533,7 +537,7 @@ class Simulator:
         weight<=2 input error and any single fault, the output must return to
         the codespace under ideal decoding. Every case is a kernel lane.
         """
-        kernel, n, circuit = self.kernel, self.code.n, self.unit_circuit
+        kernel, n = self.kernel, self.code.n
         violations = []
         # (i) r = 1, s = 0
         singles = [(1 << q, 0) if kind == "X" else (0, 1 << q) for q in range(n) for kind in "XZ"]
@@ -557,7 +561,7 @@ class Simulator:
         inputs = sorted({
             (fr.residual, 0) if kind == "X" else (0, fr.residual)
             for kind in "XZ"
-            for fr in enumerate_single_fault_errors(self.code, self.schedule, kind, circuit)
+            for fr in enumerate_single_fault_errors(self.unit_circuit, kind)
             if fr.residual and fr.weight <= 2
         })
         frames = kernel.incoming(kernel.pack_residuals(inputs))
@@ -589,7 +593,7 @@ class Simulator:
 
     def verify(self) -> VerificationReport:
         properness = verify_properness(self.code, self.schedule)
-        uniqueness = verify_unique_syndromes(self.code, self.schedule, self.unit_circuit)
+        uniqueness = verify_unique_syndromes(self.unit_circuit)
         return VerificationReport(
             properness_ok=properness.ok,
             uniqueness_ok=uniqueness.ok,

@@ -40,10 +40,9 @@ class FaultResidual:
         return self.residual.bit_count()
 
 
-def enumerate_single_fault_errors(
-    code: CssCode, schedule: CnotSchedule, kind: str, circuit: EcCircuit | None = None
-) -> tuple[FaultResidual, ...]:
-    """Residual ``kind``-type data errors of every single fault in one EC round.
+def enumerate_single_fault_errors(circuit: EcCircuit, kind: str) -> tuple[FaultResidual, ...]:
+    """Residual ``kind``-type data errors of every single fault in the
+    one-round EC circuit ``circuit``.
 
     Each fault (all 15 Paulis per CNOT, the prep/measurement flips, X/Y/Z per
     idle) is read, location by location and value by value, from the
@@ -53,13 +52,11 @@ def enumerate_single_fault_errors(
     kind on the circuit, so the tables, the unique-syndrome check and
     condition 1 share one enumeration per kind.
     """
-    if circuit is None:
-        circuit = build_ec_circuit(code, schedule, rounds=1)
     cache = circuit.__dict__.setdefault("_fault_residual_cache", {})
     if kind in cache:
         return cache[kind]
-    det = detector_rows(code, kind, circuit)
-    checks = code.checks(kind)
+    det = detector_rows(circuit, kind)
+    checks = circuit.code.checks(kind)
     signatures = compute_signatures(circuit)
     syndromes: dict[int, int] = {}  # residual -> ideal syndrome
     out = []
@@ -85,7 +82,7 @@ def enumerate_single_fault_errors(
     return cache[kind]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniquenessReport:
     """Outcome of the unique-syndrome check, with colliding error pairs."""
 
@@ -111,21 +108,20 @@ def _collisions(code: CssCode, kind: str, residuals: set[int], det) -> list[tupl
     return bad
 
 
-def verify_unique_syndromes(
-    code: CssCode, schedule: CnotSchedule, circuit: EcCircuit | None = None
-) -> UniquenessReport:
-    """Check that single-fault residual errors are distinguishable: any two
-    with the same syndrome must be equal or differ by a stabilizer element
-    (this covers weight-2 against weight-1 residuals as well)."""
-    if circuit is None:
-        circuit = build_ec_circuit(code, schedule, rounds=1)
-    collisions = {}
-    for kind in ("X", "Z"):
-        residuals = {
-            fr.residual for fr in enumerate_single_fault_errors(code, schedule, kind, circuit)
-        }
-        collisions[kind] = _collisions(code, kind, residuals, detector_rows(code, kind, circuit))
-    return UniquenessReport(collisions)
+def verify_unique_syndromes(circuit: EcCircuit) -> UniquenessReport:
+    """Check that the single-fault residual errors of the one-round circuit
+    ``circuit`` are distinguishable: any two with the same syndrome must be
+    equal or differ by a stabilizer element (this covers weight-2 against
+    weight-1 residuals as well). Memoized on the circuit, so the tables and
+    ``verify()`` share one run."""
+    if "_uniqueness_cache" not in circuit.__dict__:
+        collisions = {}
+        for kind in ("X", "Z"):
+            residuals = {fr.residual for fr in enumerate_single_fault_errors(circuit, kind)}
+            det = detector_rows(circuit, kind)
+            collisions[kind] = _collisions(circuit.code, kind, residuals, det)
+        circuit.__dict__["_uniqueness_cache"] = UniquenessReport(collisions)
+    return circuit.__dict__["_uniqueness_cache"]
 
 
 # --- schedule search -------------------------------------------------------
@@ -323,7 +319,7 @@ def find_fault_tolerant_schedule(
     properness = verify_properness(code, schedule)
     if not properness.ok:
         raise ScheduleSearchError(f"sequential schedule unexpectedly improper: {properness}")
-    uniqueness = verify_unique_syndromes(code, schedule)
+    uniqueness = verify_unique_syndromes(build_ec_circuit(code, schedule, rounds=1))
     if not uniqueness.ok:
         raise ScheduleSearchError(
             "circuit-level uniqueness check disagrees with the order-level search"
@@ -367,7 +363,7 @@ def find_interleaved_schedule(
             if not verify_properness(code, schedule).ok:
                 continue
             best_proper = True
-            if not verify_unique_syndromes(code, schedule).ok:
+            if not verify_unique_syndromes(build_ec_circuit(code, schedule, rounds=1)).ok:
                 continue
             best_unique = True
             return InterleavedSearchResult(schedule, coloring.num_colors, attempts, True, True)

@@ -25,7 +25,6 @@ from .circuits import (
     cnot_fault_components,
     idle_fault_components,
 )
-from .codes import CssCode
 
 
 def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:
@@ -37,11 +36,11 @@ def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:
     return s
 
 
-def detector_rows(code: CssCode, kind: str, circuit: EcCircuit) -> tuple[int, ...]:
-    """Check-row masks whose measurements detect ``kind``-type errors."""
+def detector_rows(circuit: EcCircuit, kind: str) -> tuple[int, ...]:
+    """Check-row masks whose measurements in ``circuit`` detect ``kind``-type errors."""
     if kind == "X":
-        return tuple(code.hz.rows[j] for j in circuit.measured_z_rows)
-    return tuple(code.hx.rows[j] for j in circuit.measured_x_rows)
+        return tuple(circuit.code.hz.rows[j] for j in circuit.measured_z_rows)
+    return tuple(circuit.code.hx.rows[j] for j in circuit.measured_x_rows)
 
 
 @dataclass
@@ -226,7 +225,7 @@ def compute_signatures(circuit: EcCircuit) -> SignatureSet:
             atom = partial(signature_of, circuit)
         else:
             one, per_round, rounds = compute_signatures(first), len(first.locations), circuit.rounds
-            det_x, det_z = (detector_rows(circuit.code, kind, circuit) for kind in "XZ")
+            det_x, det_z = (detector_rows(circuit, kind) for kind in "XZ")
             sigs = [sig for _loc, _value, sig in one.iter_all()]
             # ideal syndromes, once per distinct residual
             ideal_x = {res: syndrome_bits(det_x, res) for res in {sig.x_res for sig in sigs}}

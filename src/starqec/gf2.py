@@ -8,7 +8,7 @@ machine word size. All values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class BitVector:
                 raise ValueError(f"index {i} outside [0, {length})")
             bits |= 1 << i
         return cls(length, bits)
-
-    @classmethod
-    def from_bits(cls, values: Sequence[int]) -> "BitVector":
-        bits = 0
-        for i, v in enumerate(values):
-            if v & 1:
-                bits |= 1 << i
-        return cls(len(values), bits)
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -112,9 +104,6 @@ class BitMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.rows[i])
-
-    def row_vectors(self) -> list[BitVector]:
-        return [BitVector(self.cols, r) for r in self.rows]
 
     def to_dense(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]

@@ -30,17 +30,6 @@ class SchedulingGraph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
-    def index_of(self, vertex: tuple[int, str, int]) -> int:
-        return self._lookup[vertex]
-
-    @property
-    def _lookup(self) -> dict[tuple[int, str, int], int]:
-        cache = self.__dict__.get("_lookup_cache")
-        if cache is None:
-            cache = {v: i for i, v in enumerate(self.vertices)}
-            object.__setattr__(self, "_lookup_cache", cache)
-        return cache
-
 
 def _graph_from_cliques(
     vertices: list[tuple[int, str, int]], cliques: Iterable[list[int]]
@@ -101,9 +90,6 @@ class Coloring:
                 if self.colors[u] == self.colors[v]:
                     return False
         return True
-
-    def color_of(self, vertex: tuple[int, str, int]) -> int:
-        return self.colors[self.graph.index_of(vertex)]
 
 
 def dsatur_color(g: SchedulingGraph, priority: Sequence[int] | None = None) -> Coloring:

@@ -165,8 +165,9 @@ def faults_to_sigs(sim, faults: list[tuple[int, int]]) -> list[FaultSig]:
 
 def scalar_unit(sim, sigs, xin: int, zin: int) -> tuple[int, int]:
     """Outcome of one EC unit given fault signatures and an incoming error."""
-    sxi = syndrome_bits(sim._det_x, xin) if xin else 0
-    szi = syndrome_bits(sim._det_z, zin) if zin else 0
+    tx, tz = sim.tables["X"], sim.tables["Z"]
+    sxi = syndrome_bits(tx.detect_rows, xin) if xin else 0
+    szi = syndrome_bits(tz.detect_rows, zin) if zin else 0
     sx0 = sx1 = sx2 = sxi
     sz0 = sz1 = sz2 = szi
     xr, zr = xin, zin
@@ -183,15 +184,16 @@ def scalar_unit(sim, sigs, xin: int, zin: int) -> tuple[int, int]:
         sz2 ^= zs[2]
     dx = ec_decision(sx0, sx1, sx2)
     dz = ec_decision(sz0, sz1, sz2)
-    return xr ^ sim._x_corr[dx.syndrome], zr ^ sim._z_corr[dz.syndrome]
+    return xr ^ tx.corrections[dx.syndrome], zr ^ tz.corrections[dz.syndrome]
 
 
 def scalar_decode(sim, x: int, z: int, rounds: int | None = None) -> TrialResult:
     """Ideal decode of a residual pair; reports afflicted logical qubits."""
-    cx = x ^ sim._x_corr[syndrome_bits(sim._det_x, x)] if x else 0
-    cz = z ^ sim._z_corr[syndrome_bits(sim._det_z, z)] if z else 0
-    ax = tuple(i for i, m in enumerate(sim._logical_z) if (cx & m).bit_count() & 1)
-    az = tuple(i for i, m in enumerate(sim._logical_x) if (cz & m).bit_count() & 1)
+    tx, tz = sim.tables["X"], sim.tables["Z"]
+    cx = x ^ tx.corrections[syndrome_bits(tx.detect_rows, x)] if x else 0
+    cz = z ^ tz.corrections[syndrome_bits(tz.detect_rows, z)] if z else 0
+    ax = tuple(i for i, op in enumerate(sim.code.logical_z) if (cx & op.bits).bit_count() & 1)
+    az = tuple(i for i, op in enumerate(sim.code.logical_x) if (cz & op.bits).bit_count() & 1)
     return TrialResult(bool(ax or az), ax, az, rounds)
 
 
@@ -266,16 +268,17 @@ def scalar_condition1(sim):
     full_hz = sim.code.hz.rows
     inputs = set()
     for kind in ("X", "Z"):
-        for fr in enumerate_single_fault_errors(sim.code, sim.schedule, kind, sim.unit_circuit):
+        for fr in enumerate_single_fault_errors(sim.unit_circuit, kind):
             if fr.residual and fr.weight <= 2:
                 inputs.add((fr.residual, 0) if kind == "X" else (0, fr.residual))
     correctability_cases = 0
+    tx, tz = sim.tables["X"], sim.tables["Z"]
     for xin, zin in sorted(inputs):
         for sig in distinct:
             xo, zo = scalar_unit(sim, (sig,), xin, zin)
             correctability_cases += 1
-            cx = xo ^ sim._x_corr[syndrome_bits(sim._det_x, xo)]
-            cz = zo ^ sim._z_corr[syndrome_bits(sim._det_z, zo)]
+            cx = xo ^ tx.corrections[syndrome_bits(tx.detect_rows, xo)]
+            cz = zo ^ tz.corrections[syndrome_bits(tz.detect_rows, zo)]
             if syndrome_bits(full_hz, cx) or syndrome_bits(full_hx, cz):
                 violations.append(
                     f"output for input (x={xin:#x}, z={zin:#x}) not returned to codespace"

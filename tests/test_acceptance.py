@@ -13,6 +13,7 @@ import pytest
 from starqec.circuits import (
     CATEGORY_OF,
     NoiseModel,
+    build_ec_circuit,
     category_value_count,
     fault_stream,
 )
@@ -93,7 +94,7 @@ def test_criterion_3_scheduling(ssd_code):
     t0 = time.time()
     res = find_fault_tolerant_schedule(ssd_code)
     prop = verify_properness(ssd_code, res.schedule)
-    uniq = verify_unique_syndromes(ssd_code, res.schedule)
+    uniq = verify_unique_syndromes(build_ec_circuit(ssd_code, res.schedule, rounds=1))
     dt = time.time() - t0
     ok = (
         res.colors_x == 5

@@ -316,3 +316,36 @@ class TestFit:
         assert res.exit_code == 0, res.output
         assert "stay below" in res.output
         assert "do NOT" not in res.output
+
+    def test_fit_compare_bad_m_copies_is_usage_error(self, runner, tmp_path):
+        small = self.synthetic_csv(tmp_path, 3000, "small")
+        big = self.synthetic_csv(tmp_path, 56000, "big")
+        res = runner.invoke(
+            main,
+            ["fit", "--results", str(small), "--compare", str(big), "--m-copies", "0"],
+        )
+        assert res.exit_code == 2
+        assert "--m-copies must be >= 1" in res.output
+        assert "{" not in res.output  # refused before the first fit is printed
+
+    @pytest.mark.parametrize("defect", ["missing-column", "non-numeric"])
+    def test_fit_bad_results_csv_is_usage_error(self, runner, tmp_path, defect):
+        path = self.synthetic_csv(tmp_path, 3000)
+        header, first, *rest = path.read_text().splitlines()
+        if defect == "missing-column":
+            drop = header.split(",").index("trials")
+            header, first, *rest = (
+                ",".join(f for i, f in enumerate(line.split(",")) if i != drop)
+                for line in (header, first, *rest)
+            )
+        else:
+            first = first.replace(",2000000,", ",many,")
+        path.write_text("\n".join((header, first, *rest)) + "\n")
+        for args in (["--results", str(path)],
+                     ["--results", str(self.synthetic_csv(tmp_path, 3000, "ok")),
+                      "--compare", str(path)]):
+            res = runner.invoke(main, ["fit", *args])
+            assert res.exit_code == 2, res.output
+            assert "bad results file" in res.output
+            assert ("trials" if defect == "missing-column" else "line 2") in res.output
+            assert "{" not in res.output

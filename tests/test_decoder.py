@@ -4,6 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from starqec.circuits import build_ec_circuit
 from starqec.codes import code_from_complex
 from starqec.complexes import build_complex
 from starqec.decoder import (
@@ -15,7 +16,11 @@ from starqec.decoder import (
     ec_decisions,
     format_table,
 )
-from starqec.faulttol import builtin_schedule, enumerate_single_fault_errors
+from starqec.faulttol import (
+    builtin_schedule,
+    enumerate_single_fault_errors,
+    verify_unique_syndromes,
+)
 from starqec.gf2 import RowSpace
 from starqec.scheduling import build_check_graph, dsatur_color, schedule_from_colorings
 
@@ -47,12 +52,12 @@ def colored_schedule(code):
 
 @pytest.fixture(scope="module")
 def ssd_tables(ssd_code):
-    return build_tables(ssd_code, builtin_schedule("ssd"))
+    return build_tables(build_ec_circuit(ssd_code, builtin_schedule("ssd"), rounds=1))
 
 
 @pytest.fixture(scope="module")
 def s17_tables(s17_code):
-    return build_tables(s17_code, builtin_schedule("surface17"))
+    return build_tables(build_ec_circuit(s17_code, builtin_schedule("surface17"), rounds=1))
 
 
 class TestTableConstruction:
@@ -93,17 +98,26 @@ class TestTableConstruction:
             (ssd_code, ssd_tables, "ssd"),
             (s17_code, s17_tables, "surface17"),
         ):
-            sched = builtin_schedule(name)
+            circuit = build_ec_circuit(code, builtin_schedule(name), rounds=1)
             for kind in ("X", "Z"):
                 stab = RowSpace.of_matrix(code.checks(kind))
                 table = tables[kind]
-                for fr in enumerate_single_fault_errors(code, sched, kind):
+                for fr in enumerate_single_fault_errors(circuit, kind):
                     if fr.residual and fr.weight <= 2:
                         assert stab.contains(table.correction(fr.syndrome) ^ fr.residual)
 
     def test_requires_unique_syndromes(self, ssd_code):
-        with pytest.raises(DecoderBuildError):
-            build_lookup_table(ssd_code, reordered_ssd_schedule(), "Z")
+        # inputs: a fresh circuit, and a circuit whose failing report is
+        # already memoized; its collisions are all Z-type, yet the X table
+        # is refused too
+        fresh = build_ec_circuit(ssd_code, reordered_ssd_schedule(), rounds=1)
+        checked = build_ec_circuit(ssd_code, reordered_ssd_schedule(), rounds=1)
+        report = verify_unique_syndromes(checked)
+        assert report.collisions["Z"] and not report.collisions["X"]
+        for circuit, kind in ((fresh, "Z"), (checked, "Z"), (checked, "X")):
+            with pytest.raises(DecoderBuildError):
+                build_lookup_table(circuit, kind)
+        assert verify_unique_syndromes(checked) is report
 
     def test_table_size_bounded(self, monkeypatch):
         # 25 measured Z checks: 2^25 X-error syndromes, past the 2^20 bound;
@@ -117,12 +131,12 @@ class TestTableConstruction:
         monkeypatch.setattr("starqec.decoder.verify_unique_syndromes", not_reached)
         assert MAX_TABLE_ENTRIES == 1 << 20
         with pytest.raises(DecoderBuildError, match=r"2\^25 entries"):
-            build_lookup_table(code, schedule, "X")
+            build_lookup_table(build_ec_circuit(code, schedule, rounds=1), "X")
 
     def test_dump_format_stable(self, s17_code):
         sched = builtin_schedule("surface17")
-        a = format_table(build_lookup_table(s17_code, sched, "Z"))
-        b = format_table(build_lookup_table(s17_code, sched, "Z"))
+        a = format_table(build_lookup_table(build_ec_circuit(s17_code, sched, 1), "Z"))
+        b = format_table(build_lookup_table(build_ec_circuit(s17_code, sched, 1), "Z"))
         assert a == b
         lines = a.splitlines()
         assert lines[0] == "# kind Z"

@@ -176,7 +176,8 @@ class TestKernel:
         # words. The scalar rule ignores bits that no check or logical
         # touches, so high residual bits must pass through unchanged.
         wide = copy.copy(s17_sim)
-        wide.code = SimpleNamespace(n=width)
+        code = s17_sim.code
+        wide.code = SimpleNamespace(n=width, logical_x=code.logical_x, logical_z=code.logical_z)
         kernel = EcKernel(wide)
         assert kernel.words == words
         rng = np.random.default_rng(width)
@@ -288,9 +289,7 @@ class TestVerification:
         table = ssd_sim.tables["Z"]
         stab = RowSpace.of_matrix(ssd_code.hz)
         target = replacement = None
-        for fr in enumerate_single_fault_errors(
-            ssd_code, ssd_sim.schedule, "Z", ssd_sim.unit_circuit
-        ):
+        for fr in enumerate_single_fault_errors(ssd_sim.unit_circuit, "Z"):
             if fr.weight != 2:
                 continue
             for a, b in combinations(range(30), 2):
@@ -309,7 +308,6 @@ class TestVerification:
         sim2 = object.__new__(Simulator)
         sim2.__dict__.update(ssd_sim.__dict__)
         sim2.tables = {"X": ssd_sim.tables["X"], "Z": bad_table}
-        sim2._z_corr = bad_table.corrections
         sim2.kernel = EcKernel(sim2)
         report = sim2.verify_condition1()
         assert not report.ok
@@ -347,7 +345,6 @@ def with_table_entry(sim, kind, syndrome, error):
     broken = object.__new__(Simulator)
     broken.__dict__.update(sim.__dict__)
     broken.tables = {**sim.tables, kind: bad}
-    setattr(broken, f"_{kind.lower()}_corr", bad.corrections)
     broken.kernel = EcKernel(broken)
     return broken
 
@@ -365,7 +362,7 @@ def corrupted_sim(sim, code, kind):
     entry replaced by an inequivalent weight-2 error of the same syndrome."""
     table = sim.tables[kind]
     stab = RowSpace.of_matrix(code.checks(kind))
-    for fr in enumerate_single_fault_errors(code, sim.schedule, kind, sim.unit_circuit):
+    for fr in enumerate_single_fault_errors(sim.unit_circuit, kind):
         if fr.weight != 2:
             continue
         for a, b in combinations(range(code.n), 2):

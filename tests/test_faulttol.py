@@ -39,14 +39,13 @@ def reordered_ssd_schedule():
 class TestEnumeration:
     def test_all_residuals_weight_at_most_two(self, ssd_code, s17_code):
         for code, name in ((ssd_code, "ssd"), (s17_code, "surface17")):
-            sched = builtin_schedule(name)
+            circuit = build_ec_circuit(code, builtin_schedule(name), rounds=1)
             for kind in ("X", "Z"):
-                residuals = enumerate_single_fault_errors(code, sched, kind)
+                residuals = enumerate_single_fault_errors(circuit, kind)
                 assert max(fr.weight for fr in residuals) <= 2
 
     def test_count_matches_location_values(self, s17_code):
-        sched = builtin_schedule("surface17")
-        circuit = build_ec_circuit(s17_code, sched, rounds=1)
+        circuit = build_ec_circuit(s17_code, builtin_schedule("surface17"), rounds=1)
         # one entry per (location, value) pair
         expected = (
             len(circuit.locations_of_category("cnot")) * 15
@@ -54,14 +53,12 @@ class TestEnumeration:
             + len(circuit.locations_of_category("meas"))
             + len(circuit.locations_of_category("idle")) * 3
         )
-        assert len(enumerate_single_fault_errors(s17_code, sched, "X")) == expected
+        assert len(enumerate_single_fault_errors(circuit, "X")) == expected
 
     def test_order_is_location_then_value(self, ssd_code):
         # entries follow the circuit's locations, each location's values in order
-        sched = builtin_schedule("ssd")
-        circuit = build_ec_circuit(ssd_code, sched, rounds=1)
-        atoms = [(fr.loc_index, fr.value) for fr in enumerate_single_fault_errors(
-            ssd_code, sched, "X", circuit)]
+        circuit = build_ec_circuit(ssd_code, builtin_schedule("ssd"), rounds=1)
+        atoms = [(fr.loc_index, fr.value) for fr in enumerate_single_fault_errors(circuit, "X")]
         assert atoms == sorted(atoms) and len(set(atoms)) == len(atoms)
         assert [loc for loc, value in atoms if value == 0] == list(range(len(circuit.locations)))
 
@@ -69,25 +66,32 @@ class TestEnumeration:
     def test_build_and_verify_enumerate_each_kind_once(self, monkeypatch, name):
         # the enumeration is memoized per (circuit, kind), and an uncached
         # pass reads the circuit's signatures once: the tables, the
-        # unique-syndrome checks and condition 1 share one pass per kind
-        passes = []
-        signatures = faulttol.compute_signatures
+        # unique-syndrome check and condition 1 share one pass per kind;
+        # the unique-syndrome check is memoized on the circuit, so its
+        # grouping of the residuals runs once per kind
+        passes, groupings = [], []
+        signatures, collisions = faulttol.compute_signatures, faulttol._collisions
 
         def counted(circuit):
             passes.append(circuit)
             return signatures(circuit)
 
+        def counted_collisions(code, kind, *args):
+            groupings.append(kind)
+            return collisions(code, kind, *args)
+
         monkeypatch.setattr(faulttol, "compute_signatures", counted)
+        monkeypatch.setattr(faulttol, "_collisions", counted_collisions)
         sim = Simulator.for_builtin(name)
         assert sim.verify().ok
         assert len(passes) == 2
         assert all(circuit is sim.unit_circuit for circuit in passes)
+        assert sorted(groupings) == ["X", "Z"]
 
     def test_syndromes_are_ideal(self, ssd_code):
-        sched = builtin_schedule("ssd")
-        circuit = build_ec_circuit(ssd_code, sched, rounds=1)
-        det = detector_rows(ssd_code, "Z", circuit)
-        for fr in enumerate_single_fault_errors(ssd_code, sched, "Z", circuit):
+        circuit = build_ec_circuit(ssd_code, builtin_schedule("ssd"), rounds=1)
+        det = detector_rows(circuit, "Z")
+        for fr in enumerate_single_fault_errors(circuit, "Z"):
             syn = 0
             for i, row in enumerate(det):
                 if (row & fr.residual).bit_count() & 1:
@@ -103,7 +107,7 @@ class TestEnumeration:
         predicted = _side_residuals(ssd_code, "Z", measured, orders)
         enumerated = {
             fr.residual
-            for fr in enumerate_single_fault_errors(ssd_code, sched, "Z")
+            for fr in enumerate_single_fault_errors(build_ec_circuit(ssd_code, sched, 1), "Z")
             if fr.residual
         }
         assert enumerated == predicted
@@ -111,13 +115,15 @@ class TestEnumeration:
 
 class TestUniqueness:
     def test_shipped_schedules_pass(self, ssd_code, s17_code):
-        assert verify_unique_syndromes(ssd_code, builtin_schedule("ssd")).ok
-        assert verify_unique_syndromes(s17_code, builtin_schedule("surface17")).ok
+        ssd = build_ec_circuit(ssd_code, builtin_schedule("ssd"), rounds=1)
+        s17 = build_ec_circuit(s17_code, builtin_schedule("surface17"), rounds=1)
+        assert verify_unique_syndromes(ssd).ok
+        assert verify_unique_syndromes(s17).ok
 
     def test_reordered_schedule_fails_with_witness(self, ssd_code):
         bad = reordered_ssd_schedule()
         bad.validate_against(ssd_code)  # still a valid schedule
-        report = verify_unique_syndromes(ssd_code, bad)
+        report = verify_unique_syndromes(build_ec_circuit(ssd_code, bad, rounds=1))
         assert not report.ok
         syndrome, err_a, err_b = report.collisions["Z"][0]
         # the colliding pair really shares a syndrome and is not equivalent
@@ -160,7 +166,7 @@ class TestSearch:
         assert res.attempts >= 1
         if res.schedule is not None:
             assert verify_properness(s17_code, res.schedule).ok
-            assert verify_unique_syndromes(s17_code, res.schedule).ok
+            assert verify_unique_syndromes(build_ec_circuit(s17_code, res.schedule, 1)).ok
 
 
 def test_builtin_schedules_validate(ssd_code, s17_code):
