@@ -4,6 +4,7 @@ and the circuit-level depolarizing noise model."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -31,7 +32,6 @@ CATEGORY_OF = {
 
 # Single-qubit Pauli encoding: (has X component, has Z component).
 _PAULI_XZ = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # I, X, Y, Z
-PAULI_NAMES = {0: "I", 1: "X", 2: "Y", 3: "Z"}
 
 
 def cnot_fault_components(value: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -186,28 +186,46 @@ class EcCircuit:
         return rnd, pos
 
     def locations_of_category(self, category: str) -> tuple[int, ...]:
-        cache = self.__dict__.get("_category_cache")
-        if cache is None:
-            cache = {c: [] for c in CATEGORIES}
-            for i, loc in enumerate(self.locations):
-                cache[CATEGORY_OF[loc.kind]].append(i)
-            cache = {c: tuple(v) for c, v in cache.items()}
-            object.__setattr__(self, "_category_cache", cache)
-        return cache[category]
+        return self._category_locations[category]
+
+    @cached_property
+    def _category_locations(self) -> dict[str, tuple[int, ...]]:
+        out: dict[str, list[int]] = {c: [] for c in CATEGORIES}
+        for i, loc in enumerate(self.locations):
+            out[CATEGORY_OF[loc.kind]].append(i)
+        return {c: tuple(v) for c, v in out.items()}
 
     @property
     def first_round(self) -> "EcCircuit":
         """The one-round circuit this circuit repeats, its locations at the same
         indices (the circuit itself if it has one round). Memoized, so that
         what is cached on it is shared."""
-        if self.rounds > 1 and "_first_round_cache" not in self.__dict__:
-            per_round = len(self.locations) // self.rounds
-            first = replace(self, rounds=1, locations=self.locations[:per_round])
-            object.__setattr__(self, "_first_round_cache", first)
-        return self.__dict__.get("_first_round_cache", self)
+        return self if self.rounds == 1 else self._first_round
+
+    @cached_property
+    def _first_round(self) -> "EcCircuit":
+        per_round = len(self.locations) // self.rounds
+        return replace(self, rounds=1, locations=self.locations[:per_round])
 
     def cnot_count(self) -> int:
         return sum(1 for loc in self.locations if loc.kind == CNOT)
+
+
+def memoized_on_circuit(fn):
+    """Keep ``fn(circuit, *args)`` in the circuit's ``__dict__``, one entry
+    per ``args``, so that it is computed once per circuit and freed with it.
+    What is kept must not refer back to the circuit: a cycle would keep both
+    alive until the garbage collector runs."""
+    name = f"_memo_{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(circuit: EcCircuit, *args):
+        memo = circuit.__dict__.setdefault(name, {})
+        if args not in memo:
+            memo[args] = fn(circuit, *args)
+        return memo[args]
+
+    return memoized
 
 
 def build_ec_circuit(code: CssCode, schedule: CnotSchedule, rounds: int) -> EcCircuit:

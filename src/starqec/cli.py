@@ -45,6 +45,24 @@ def _out_dir() -> Path:
     return Path(os.environ.get("STARQEC_OUTDIR", "."))
 
 
+def _out_option(help: str, default_in_outdir: bool = False):
+    """A file-valued ``--out`` option whose directory must already exist.
+    With ``default_in_outdir``, leaving it out means a default file in
+    ``$STARQEC_OUTDIR``, which must exist too. Checked when the command line
+    is parsed, so a bad path is a usage error before any work starts."""
+
+    def check(_ctx, _param, value):
+        if value:
+            directory = Path(value).parent
+            if not directory.is_dir():
+                raise click.BadParameter(f"directory {directory} does not exist")
+        elif default_in_outdir and not _out_dir().is_dir():
+            raise click.UsageError(f"STARQEC_OUTDIR directory {_out_dir()} does not exist")
+        return value
+
+    return click.option("--out", type=click.Path(), default=None, help=help, callback=check)
+
+
 def _code_options(f):
     f = click.option(
         "--code", "code_name", type=click.Choice(["ssd", "surface17"]), default=None,
@@ -157,7 +175,7 @@ def schedule():
 @click.option("--mode", type=click.Choice(["separate", "interleaved"]), default="separate",
               show_default=True)
 @click.option("--retries", default=1000, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Schedule file to write.")
+@_out_option("Schedule file to write.", default_in_outdir=True)
 def schedule_build(code_name, complex_file, mode, retries, out):
     """Search for a verified schedule and write it to a file."""
     c = _resolve_code(code_name, complex_file)
@@ -243,7 +261,7 @@ def decoder_build(code_name, complex_file, schedule_path, retries, out):
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
 @click.option("--kind", type=click.Choice(["X", "Z"]), default="Z", show_default=True)
 @click.option("--retries", default=1000, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("Table file to write (stdout by default).")
 def decoder_dump(code_name, complex_file, schedule_path, kind, retries, out):
     """Write one lookup table as text (stdout by default)."""
     c = _resolve_code(code_name, complex_file)
@@ -345,7 +363,7 @@ def _check_ps(ps) -> None:
 @click.option("--threads", default=None, type=int, help="Worker processes (default: all cores).")
 @click.option("--retries", default=1000, show_default=True)
 @click.option("--single-unit", is_flag=True, help="Simulate one EC unit instead of the exRec.")
-@click.option("--out", type=click.Path(), default=None, help="Results CSV path.")
+@_out_option("Results CSV path.", default_in_outdir=True)
 def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads, retries,
               single_unit, out):
     """Estimate the logical failure rate of the exRec (or a single EC unit)."""
@@ -378,7 +396,7 @@ def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads,
 @click.option("--rounds-max", default=30000, show_default=True)
 @click.option("--seed", default=12345, show_default=True)
 @click.option("--retries", default=1000, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("Results CSV path.", default_in_outdir=True)
 def sim_lifetime(code_name, complex_file, schedule_path, ps, trials, rounds_max, seed,
                  retries, out):
     """Mean EC rounds an encoded memory survives, carrying residuals forward."""
@@ -414,35 +432,38 @@ def _read_results(path: str) -> list[ResultRow]:
         raise click.UsageError(f"bad results file {path}: {exc}") from None
 
 
+def _fit(rows: list[ResultRow], min_failures: int, label: str):
+    """``fit_quadratic`` of the rows; a failed fit prints why and exits 1."""
+    try:
+        return fit_quadratic(
+            [PointEstimate(r.p, r.trials, r.failures) for r in rows], min_failures=min_failures
+        )
+    except FitError as exc:
+        click.echo(f"{label} failed: {exc}")
+        sys.exit(EXIT_VERIFICATION_FAILURE)
+
+
 @main.command("fit")
 @click.option("--results", type=click.Path(exists=True), required=True)
 @click.option("--compare", type=click.Path(exists=True), default=None,
               help="Second results CSV for an m-copy comparison.")
 @click.option("--m-copies", default=8, show_default=True)
 @click.option("--min-failures", default=20, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Write the fit summary JSON.")
+@_out_option("Write the fit summary JSON.")
 def fit_cmd(results, compare, m_copies, min_failures, out):
     """Fit p_L = c p^2, report the pseudo-threshold, optionally compare m copies."""
     if compare and m_copies < 1:
         raise click.UsageError(f"--m-copies must be >= 1, got {m_copies}")
     rows = _read_results(results)
     other_rows = _read_results(compare) if compare else None
-    points = [PointEstimate(r.p, r.trials, r.failures) for r in rows]
-    try:
-        fit = fit_quadratic(points, min_failures=min_failures)
-    except FitError as exc:
-        click.echo(f"fit failed: {exc}")
-        sys.exit(EXIT_VERIFICATION_FAILURE)
+    fit = _fit(rows, min_failures, "fit")
+    other = _fit(other_rows, min_failures, "comparison fit") if compare else None
     summary = fit.as_dict()
     summary["pstar_vs_p"] = 1.0 / fit.c  # crossing with f(p) = p
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
     if out:
         Path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if compare:
-        other = fit_quadratic(
-            [PointEstimate(r.p, r.trials, r.failures) for r in other_rows],
-            min_failures=min_failures,
-        )
         click.echo(f"comparison fit: c={other.c:.6g} pstar={other.pstar:.6g}")
         grid = sorted({r.p for r in rows} | {r.p for r in other_rows})
         all_below = True

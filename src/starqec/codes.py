@@ -65,7 +65,7 @@ class CssCode:
 
 def independent_rows(m: BitMatrix) -> list[int]:
     """Indices of a maximal independent subset of rows (greedy, first-come)."""
-    space = RowSpace(cols=m.cols)
+    space = RowSpace()
     kept = []
     for i, row in enumerate(m.rows):
         if space.add(row):

@@ -10,6 +10,7 @@ refer to those canonical edge indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -69,14 +70,9 @@ class CellComplex2D:
         key = (u, v) if u < v else (v, u)
         return self._edge_lookup[key]
 
-    @property
+    @cached_property
     def _edge_lookup(self) -> dict[tuple[int, int], int]:
-        # lazily built; frozen dataclass, so stash on __dict__ via object.__setattr__
-        cache = self.__dict__.get("_edge_lookup_cache")
-        if cache is None:
-            cache = {e: i for i, e in enumerate(self.edges)}
-            object.__setattr__(self, "_edge_lookup_cache", cache)
-        return cache
+        return {e: i for i, e in enumerate(self.edges)}
 
     def vertex_star(self, v: int) -> list[int]:
         """Indices of edges incident to vertex v."""
@@ -154,18 +150,11 @@ def parse_complex(text: str, name: str = "") -> CellComplex2D:
             raise ComplexFormatError(line_no, f"unknown directive {kind!r}")
     if vertex_count is None:
         raise ComplexFormatError(1, "missing vertices header")
-    canonical = sorted(edges)
-    if len(set(canonical)) != len(canonical):
-        dup = next(e for i, e in enumerate(canonical[1:], 1) if canonical[i - 1] == e)
-        raise ComplexFormatError(1, f"duplicate edge {dup}")
-    # Face lines index canonical (sorted) edge order.
-    for face in faces:
-        for e in face:
-            if not 0 <= e < len(canonical):
-                raise ComplexFormatError(1, f"face references invalid edge index {e}")
+    # Face lines index canonical (sorted) edge order; the complex itself
+    # rejects duplicate edges and out-of-range face entries.
     try:
         return CellComplex2D(
-            vertex_count, tuple(canonical), tuple(tuple(f) for f in faces), name=name
+            vertex_count, tuple(sorted(edges)), tuple(tuple(f) for f in faces), name=name
         )
     except ValueError as exc:
         raise ComplexFormatError(1, str(exc)) from None

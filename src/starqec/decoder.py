@@ -8,13 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import EcCircuit
-from .faulttol import (
-    detector_rows,
-    enumerate_single_fault_errors,
-    syndrome_bits,
-    verify_unique_syndromes,
-)
-from .gf2 import RowSpace
+from .faulttol import detector_rows, enumerate_single_fault_errors, verify_unique_syndromes
+from .gf2 import RowSpace, syndrome_bits
 
 
 MAX_TABLE_ENTRIES = 1 << 20  # syndromes a full lookup table may have: 20 measured checks

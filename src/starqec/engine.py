@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -511,22 +512,25 @@ class Simulator:
         probabilities of its (location, value) atoms at p = 1. Malignancy
         depends only on the signature, so the sweeps run over these. Computed
         on first use and kept; it reads only ``signatures``."""
-        if "_distinct" not in self.__dict__:
-            unit_noise = NoiseModel(1.0)
-            index: dict[FaultSig, int] = {}
-            weights: list[float] = []
-            for cat in _CATEGORIES:
-                w = unit_noise.category_prob(cat) / category_value_count(cat)
-                for row in self.signatures.by_category[cat][1]:
-                    for sig in row:
-                        i = index.setdefault(sig, len(weights))
-                        if i == len(weights):
-                            weights.append(w)
-                        else:
-                            weights[i] += w
-            self._distinct = tuple(index), np.array(weights)
-            self._distinct[1].flags.writeable = False
         return self._distinct
+
+    @cached_property
+    def _distinct(self) -> tuple[tuple[FaultSig, ...], np.ndarray]:
+        unit_noise = NoiseModel(1.0)
+        index: dict[FaultSig, int] = {}
+        weights: list[float] = []
+        for cat in _CATEGORIES:
+            w = unit_noise.category_prob(cat) / category_value_count(cat)
+            for row in self.signatures.by_category[cat][1]:
+                for sig in row:
+                    i = index.setdefault(sig, len(weights))
+                    if i == len(weights):
+                        weights.append(w)
+                    else:
+                        weights[i] += w
+        table = np.array(weights)
+        table.flags.writeable = False
+        return tuple(index), table
 
     def verify_condition1(self) -> Condition1Report:
         """Exhaustive distance-3 fault-tolerance check of the EC unit.

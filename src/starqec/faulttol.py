@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import islice, permutations
 
-from .circuits import EcCircuit, build_ec_circuit
+from .circuits import EcCircuit, build_ec_circuit, memoized_on_circuit
 from .codes import CssCode, independent_rows
-from .frames import compute_signatures, detector_rows, syndrome_bits
-from .gf2 import RowSpace
+from .frames import compute_signatures, detector_rows
+from .gf2 import RowSpace, syndrome_bits
 from .scheduling import (
     CnotSchedule,
     Coloring,
@@ -40,6 +40,7 @@ class FaultResidual:
         return self.residual.bit_count()
 
 
+@memoized_on_circuit
 def enumerate_single_fault_errors(circuit: EcCircuit, kind: str) -> tuple[FaultResidual, ...]:
     """Residual ``kind``-type data errors of every single fault in the
     one-round EC circuit ``circuit``.
@@ -52,9 +53,6 @@ def enumerate_single_fault_errors(circuit: EcCircuit, kind: str) -> tuple[FaultR
     kind on the circuit, so the tables, the unique-syndrome check and
     condition 1 share one enumeration per kind.
     """
-    cache = circuit.__dict__.setdefault("_fault_residual_cache", {})
-    if kind in cache:
-        return cache[kind]
     det = detector_rows(circuit, kind)
     checks = circuit.code.checks(kind)
     signatures = compute_signatures(circuit)
@@ -78,8 +76,7 @@ def enumerate_single_fault_errors(circuit: EcCircuit, kind: str) -> tuple[FaultR
                     value=value,
                 )
             )
-    cache[kind] = tuple(out)
-    return cache[kind]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -108,20 +105,19 @@ def _collisions(code: CssCode, kind: str, residuals: set[int], det) -> list[tupl
     return bad
 
 
+@memoized_on_circuit
 def verify_unique_syndromes(circuit: EcCircuit) -> UniquenessReport:
     """Check that the single-fault residual errors of the one-round circuit
     ``circuit`` are distinguishable: any two with the same syndrome must be
     equal or differ by a stabilizer element (this covers weight-2 against
     weight-1 residuals as well). Memoized on the circuit, so the tables and
     ``verify()`` share one run."""
-    if "_uniqueness_cache" not in circuit.__dict__:
-        collisions = {}
-        for kind in ("X", "Z"):
-            residuals = {fr.residual for fr in enumerate_single_fault_errors(circuit, kind)}
-            det = detector_rows(circuit, kind)
-            collisions[kind] = _collisions(circuit.code, kind, residuals, det)
-        circuit.__dict__["_uniqueness_cache"] = UniquenessReport(collisions)
-    return circuit.__dict__["_uniqueness_cache"]
+    collisions = {}
+    for kind in ("X", "Z"):
+        residuals = {fr.residual for fr in enumerate_single_fault_errors(circuit, kind)}
+        det = detector_rows(circuit, kind)
+        collisions[kind] = _collisions(circuit.code, kind, residuals, det)
+    return UniquenessReport(collisions)
 
 
 # --- schedule search -------------------------------------------------------
@@ -179,13 +175,16 @@ class ScheduleSearchError(RuntimeError):
     pass
 
 
+# Complete assignments the backtracking search tests before it gives up.
+DFS_BUDGET = 200_000
+
+
 def _dfs_orders(
     code: CssCode,
     kind: str,
     measured: list[int],
     det: tuple[int, ...],
     steps: int,
-    budget: int = 200_000,
 ) -> Coloring | None:
     """Deterministic backtracking over minimum-step assignments, returning the
     first one whose fault-derived errors pass the uniqueness check.
@@ -234,7 +233,7 @@ def _dfs_orders(
             residuals = _side_residuals(code, kind, measured, orders)
             if not _collisions(code, kind, residuals, det):
                 return True
-            return None if tested < budget else False
+            return None if tested < DFS_BUDGET else False
         for perm in candidates(rows[idx]):
             if place(rows[idx], perm):
                 result = solve(idx + 1)
@@ -264,9 +263,7 @@ class ScheduleSearchResult:
     method: dict[str, str] | None = None  # per kind: 'dsatur' or 'backtracking'
 
 
-def find_fault_tolerant_schedule(
-    code: CssCode, retries: int = 1000, require_min_colors: bool = True
-) -> ScheduleSearchResult:
+def find_fault_tolerant_schedule(code: CssCode, retries: int = 1000) -> ScheduleSearchResult:
     """Search sequential schedules: DSATUR with reshuffled vertex orderings until
     both check types admit a minimum coloring whose fault-derived errors all
     have distinguishable syndromes."""
@@ -288,7 +285,7 @@ def find_fault_tolerant_schedule(
                 break
             coloring = dsatur_color(graph, shuffled_priority(len(graph.vertices), attempt))
             attempts_used += 1
-            if require_min_colors and coloring.num_colors > target:
+            if coloring.num_colors > target:
                 continue
             # A coloring fixes the schedule only up to a permutation of the
             # time slots; try a bounded number of slot relabelings.

@@ -24,16 +24,9 @@ from .circuits import (
     category_value_count,
     cnot_fault_components,
     idle_fault_components,
+    memoized_on_circuit,
 )
-
-
-def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:
-    """Syndrome of an error against a list of check-row masks, packed into an int."""
-    s = 0
-    for i, row in enumerate(rows):
-        if (row & error).bit_count() & 1:
-            s |= 1 << i
-    return s
+from .gf2 import syndrome_bits
 
 
 def detector_rows(circuit: EcCircuit, kind: str) -> tuple[int, ...]:
@@ -73,35 +66,32 @@ class PropagationResult:
     z_syndromes: tuple[int, ...]  # per round, from MeasX outcomes
 
 
+@memoized_on_circuit
 def _active_ops(circuit: EcCircuit):
     """Non-idle operations as flat tuples, plus the first-op index per timestep.
 
     Op tuples: (t, 'c', control, target), (t, 'p', qubit, 0),
     (t, 'mx'|'mz', qubit, (round, pos)).
     """
-    cache = circuit.__dict__.get("_active_cache")
-    if cache is None:
-        ops = []
-        for loc in circuit.locations:
-            if loc.kind == CNOT:
-                ops.append((loc.t, "c", loc.qubits[0], loc.qubits[1]))
-            elif loc.kind in (PREP_PLUS, PREP_ZERO):
-                ops.append((loc.t, "p", loc.qubits[0], 0))
-            elif loc.kind == MEAS_X:
-                ops.append((loc.t, "mx", loc.qubits[0], circuit.meas_round_and_pos(loc)))
-            elif loc.kind == MEAS_Z:
-                ops.append((loc.t, "mz", loc.qubits[0], circuit.meas_round_and_pos(loc)))
-        # first_after[t] = index of the first op strictly after timestep t
-        total = circuit.total_timesteps
-        first_after = [len(ops)] * (total + 1)
-        idx = len(ops)
-        for t in range(total - 1, -1, -1):
-            while idx > 0 and ops[idx - 1][0] > t:
-                idx -= 1
-            first_after[t] = idx
-        cache = (ops, first_after)
-        object.__setattr__(circuit, "_active_cache", cache)
-    return cache
+    ops = []
+    for loc in circuit.locations:
+        if loc.kind == CNOT:
+            ops.append((loc.t, "c", loc.qubits[0], loc.qubits[1]))
+        elif loc.kind in (PREP_PLUS, PREP_ZERO):
+            ops.append((loc.t, "p", loc.qubits[0], 0))
+        elif loc.kind == MEAS_X:
+            ops.append((loc.t, "mx", loc.qubits[0], circuit.meas_round_and_pos(loc)))
+        elif loc.kind == MEAS_Z:
+            ops.append((loc.t, "mz", loc.qubits[0], circuit.meas_round_and_pos(loc)))
+    # first_after[t] = index of the first op strictly after timestep t
+    total = circuit.total_timesteps
+    first_after = [len(ops)] * (total + 1)
+    idx = len(ops)
+    for t in range(total - 1, -1, -1):
+        while idx > 0 and ops[idx - 1][0] > t:
+            idx -= 1
+        first_after[t] = idx
+    return ops, first_after
 
 
 def _walk(ops, x: int, z: int, x_syn: list[int], z_syn: list[int]) -> tuple[int, int]:
@@ -192,7 +182,6 @@ class SignatureSet:
     """Signatures of every (location, fault value) pair of a circuit, grouped
     by noise category for fast sampling-driven lookup."""
 
-    circuit: EcCircuit
     by_category: dict[str, tuple[tuple[int, ...], tuple[tuple[FaultSig, ...], ...]]]
     position: dict[int, tuple[str, int]]  # location index -> (category, row)
 
@@ -211,6 +200,7 @@ class SignatureSet:
                     yield loc_index, value, sig
 
 
+@memoized_on_circuit
 def compute_signatures(circuit: EcCircuit) -> SignatureSet:
     """Signatures of every (location, value) atom of ``circuit``, memoized on
     the circuit. Only ``circuit.first_round`` is walked, each of its atoms
@@ -218,38 +208,32 @@ def compute_signatures(circuit: EcCircuit) -> SignatureSet:
     syndrome in slot r and its data residual's ideal syndrome in every later
     slot: ancillas are re-prepared every round, and CSS extraction does not
     spread data errors."""
-    cache = circuit.__dict__.get("_signature_cache")
-    if cache is None:
-        first = circuit.first_round
-        if first is circuit:
-            atom = partial(signature_of, circuit)
-        else:
-            one, per_round, rounds = compute_signatures(first), len(first.locations), circuit.rounds
-            det_x, det_z = (detector_rows(circuit, kind) for kind in "XZ")
-            sigs = [sig for _loc, _value, sig in one.iter_all()]
-            # ideal syndromes, once per distinct residual
-            ideal_x = {res: syndrome_bits(det_x, res) for res in {sig.x_res for sig in sigs}}
-            ideal_z = {res: syndrome_bits(det_z, res) for res in {sig.z_res for sig in sigs}}
+    first = circuit.first_round
+    if first is circuit:
+        atom = partial(signature_of, circuit)
+    else:
+        one, per_round, rounds = compute_signatures(first), len(first.locations), circuit.rounds
+        det_x, det_z = (detector_rows(circuit, kind) for kind in "XZ")
+        sigs = [sig for _loc, _value, sig in one.iter_all()]
+        # ideal syndromes, once per distinct residual
+        ideal_x = {res: syndrome_bits(det_x, res) for res in {sig.x_res for sig in sigs}}
+        ideal_z = {res: syndrome_bits(det_z, res) for res in {sig.z_res for sig in sigs}}
 
-            def atom(loc_index: int, value: int) -> FaultSig:
-                r, base = divmod(loc_index, per_round)
-                sig, pad, later = one.signature(base, value), (0,) * r, rounds - r - 1
-                return FaultSig(
-                    sig.x_res, sig.z_res,
-                    pad + sig.x_syn + (ideal_x[sig.x_res],) * later,
-                    pad + sig.z_syn + (ideal_z[sig.z_res],) * later,
-                )
+        def atom(loc_index: int, value: int) -> FaultSig:
+            r, base = divmod(loc_index, per_round)
+            sig, pad, later = one.signature(base, value), (0,) * r, rounds - r - 1
+            return FaultSig(
+                sig.x_res, sig.z_res,
+                pad + sig.x_syn + (ideal_x[sig.x_res],) * later,
+                pad + sig.z_syn + (ideal_z[sig.z_res],) * later,
+            )
 
-        by_category = {}
-        for cat in CATEGORIES:
-            locs = circuit.locations_of_category(cat)
-            values = range(category_value_count(cat))
-            by_category[cat] = (locs, tuple(tuple(atom(li, v) for v in values) for li in locs))
-        position = {
-            li: (cat, row) for cat, (locs, _s) in by_category.items() for row, li in enumerate(locs)
-        }
-        # The set itself is not cached: it refers to the circuit, and a cycle
-        # would keep both alive until the garbage collector runs.
-        cache = (by_category, position)
-        object.__setattr__(circuit, "_signature_cache", cache)
-    return SignatureSet(circuit, *cache)
+    by_category = {}
+    for cat in CATEGORIES:
+        locs = circuit.locations_of_category(cat)
+        values = range(category_value_count(cat))
+        by_category[cat] = (locs, tuple(tuple(atom(li, v) for v in values) for li in locs))
+    position = {
+        li: (cat, row) for cat, (locs, _s) in by_category.items() for row, li in enumerate(locs)
+    }
+    return SignatureSet(by_category, position)

@@ -102,34 +102,22 @@ class BitMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.rows[i])
-
     def to_dense(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
 
 
+def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:
+    """Syndrome of an error against a list of check-row masks, packed into an int."""
+    s = 0
+    for i, row in enumerate(rows):
+        if (row & error).bit_count() & 1:
+            s |= 1 << i
+    return s
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank via Gaussian elimination."""
-    work = list(m.rows)
-    rk = 0
-    for col in range(m.cols):
-        mask = 1 << col
-        pivot = None
-        for r in range(rk, len(work)):
-            if work[r] & mask:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for r in range(len(work)):
-            if r != rk and (work[r] & mask):
-                work[r] ^= work[rk]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
+    """GF(2) row rank."""
+    return RowSpace.of_matrix(m).rank
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
@@ -139,35 +127,15 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
     echelon form, in increasing column order, so the output is
     deterministic for a given matrix.
     """
-    work = list(m.rows)
-    pivot_cols: list[int] = []
-    rk = 0
-    for col in range(m.cols):
-        mask = 1 << col
-        pivot = None
-        for r in range(rk, len(work)):
-            if work[r] & mask:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for r in range(len(work)):
-            if r != rk and (work[r] & mask):
-                work[r] ^= work[rk]
-        pivot_cols.append(col)
-        rk += 1
-        if rk == len(work):
-            break
-    pivot_set = set(pivot_cols)
+    pivots = RowSpace.of_matrix(m)._pivots
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         bits = 1 << free
-        for i, pc in enumerate(pivot_cols):
-            if (work[i] >> free) & 1:
-                bits |= 1 << pc
+        for col, row in pivots.items():
+            if (row >> free) & 1:
+                bits |= 1 << col
         basis.append(BitVector(m.cols, bits))
     return basis
 
@@ -176,11 +144,7 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     """GF(2) matrix-vector product; row i of the result is <row_i, v>."""
     if v.length != m.cols:
         raise ValueError(f"dimension mismatch: {m.cols} cols vs length {v.length}")
-    bits = 0
-    for i, row in enumerate(m.rows):
-        if (row & v.bits).bit_count() & 1:
-            bits |= 1 << i
-    return BitVector(len(m.rows), bits)
+    return BitVector(len(m.rows), syndrome_bits(m.rows, v.bits))
 
 
 def symplectic_product(x_support: BitVector, z_support: BitVector) -> int:
@@ -191,17 +155,19 @@ def symplectic_product(x_support: BitVector, z_support: BitVector) -> int:
 
 
 class RowSpace:
-    """Incremental GF(2) row space (echelon form), for membership and rank queries."""
+    """Incremental GF(2) row space, for membership and rank queries, and the
+    one Gaussian elimination here. Each stored row's pivot is its lowest set
+    bit, and every other stored row is zero there, so the rows are the unique
+    reduced row echelon form of the space."""
 
-    def __init__(self, rows: Iterable[int] = (), cols: int | None = None):
-        self.cols = cols
+    def __init__(self, rows: Iterable[int] = ()):
         self._pivots: dict[int, int] = {}  # pivot column -> reduced row
         for r in rows:
             self.add(r)
 
     @classmethod
     def of_matrix(cls, m: BitMatrix) -> "RowSpace":
-        return cls(m.rows, m.cols)
+        return cls(m.rows)
 
     @property
     def rank(self) -> int:
@@ -221,15 +187,10 @@ class RowSpace:
         bits = self.reduce(bits)
         if bits == 0:
             return False
-        pivot = bits.bit_length() - 1
+        pivot = (bits & -bits).bit_length() - 1
         # Keep stored rows reduced against the new pivot.
         for col in list(self._pivots):
             if (self._pivots[col] >> pivot) & 1:
                 self._pivots[col] ^= bits
         self._pivots[pivot] = bits
         return True
-
-    def copy(self) -> "RowSpace":
-        dup = RowSpace(cols=self.cols)
-        dup._pivots = dict(self._pivots)
-        return dup

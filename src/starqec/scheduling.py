@@ -9,6 +9,7 @@ one CNOT per step).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,48 +32,41 @@ class SchedulingGraph:
         return max((len(a) for a in self.adjacency), default=0)
 
 
-def _graph_from_cliques(
-    vertices: list[tuple[int, str, int]], cliques: Iterable[list[int]]
-) -> SchedulingGraph:
+def _incidences(code: CssCode, kinds: tuple[str, ...]) -> Iterable[tuple[int, str, int]]:
+    """(qubit, kind, check_row) of every check of the given types and every
+    qubit in its support, in (kind, row, qubit) order."""
+    for kind in kinds:
+        for row_idx, row in enumerate(code.checks(kind).rows):
+            for q in range(code.n):
+                if (row >> q) & 1:
+                    yield q, kind, row_idx
+
+
+def _incidence_graph(code: CssCode, kinds: tuple[str, ...]) -> SchedulingGraph:
+    """Scheduling graph of the incidences of the given check types: a clique
+    per qubit and a clique per check."""
+    vertices = tuple(_incidences(code, kinds))
+    cliques: dict[tuple, list[int]] = {}
+    for idx, (q, kind, row) in enumerate(vertices):
+        cliques.setdefault(("qubit", q), []).append(idx)
+        cliques.setdefault((kind, row), []).append(idx)
     adj: list[set[int]] = [set() for _ in vertices]
-    for clique in cliques:
+    for clique in cliques.values():
         for i, a in enumerate(clique):
             for b in clique[i + 1 :]:
                 adj[a].add(b)
                 adj[b].add(a)
-    return SchedulingGraph(tuple(vertices), tuple(frozenset(a) for a in adj))
+    return SchedulingGraph(vertices, tuple(frozenset(a) for a in adj))
 
 
 def build_check_graph(code: CssCode, kind: str) -> SchedulingGraph:
     """Scheduling graph for one check type measured on its own."""
-    checks = code.checks(kind)
-    vertices: list[tuple[int, str, int]] = []
-    by_qubit: dict[int, list[int]] = {}
-    by_check: dict[int, list[int]] = {}
-    for row_idx, row in enumerate(checks.rows):
-        for q in range(code.n):
-            if (row >> q) & 1:
-                idx = len(vertices)
-                vertices.append((q, kind, row_idx))
-                by_qubit.setdefault(q, []).append(idx)
-                by_check.setdefault(row_idx, []).append(idx)
-    return _graph_from_cliques(vertices, list(by_qubit.values()) + list(by_check.values()))
+    return _incidence_graph(code, (kind,))
 
 
 def build_interleaved_graph(code: CssCode) -> SchedulingGraph:
     """Scheduling graph with X- and Z-check CNOTs sharing one pool of steps."""
-    vertices: list[tuple[int, str, int]] = []
-    by_qubit: dict[int, list[int]] = {}
-    by_check: dict[tuple[str, int], list[int]] = {}
-    for kind in ("X", "Z"):
-        for row_idx, row in enumerate(code.checks(kind).rows):
-            for q in range(code.n):
-                if (row >> q) & 1:
-                    idx = len(vertices)
-                    vertices.append((q, kind, row_idx))
-                    by_qubit.setdefault(q, []).append(idx)
-                    by_check.setdefault((kind, row_idx), []).append(idx)
-    return _graph_from_cliques(vertices, list(by_qubit.values()) + list(by_check.values()))
+    return _incidence_graph(code, ("X", "Z"))
 
 
 @dataclass(frozen=True)
@@ -183,11 +177,11 @@ class CnotSchedule:
         return out
 
     def step_of(self, kind: str, row: int, qubit: int) -> int:
-        cache = self.__dict__.get("_step_cache")
-        if cache is None:
-            cache = {(k, r, q): s for s, k, r, q in self.cnots}
-            object.__setattr__(self, "_step_cache", cache)
-        return cache[(kind, row, qubit)]
+        return self._steps[(kind, row, qubit)]
+
+    @cached_property
+    def _steps(self) -> dict[tuple[str, int, int], int]:
+        return {(k, r, q): s for s, k, r, q in self.cnots}
 
     def by_step(self) -> dict[int, list[tuple[str, int, int]]]:
         out: dict[int, list[tuple[str, int, int]]] = {s: [] for s in range(1, self.steps + 1)}
@@ -197,12 +191,7 @@ class CnotSchedule:
 
     def validate_against(self, code: CssCode) -> None:
         """Every (check, qubit) incidence of the code appears exactly once."""
-        want = set()
-        for kind in ("X", "Z"):
-            for row_idx, row in enumerate(code.checks(kind).rows):
-                for q in range(code.n):
-                    if (row >> q) & 1:
-                        want.add((kind, row_idx, q))
+        want = {(k, r, q) for q, k, r in _incidences(code, ("X", "Z"))}
         have = {(k, r, q) for _, k, r, q in self.cnots}
         if want != have:
             missing = sorted(want - have)[:5]
@@ -212,38 +201,31 @@ class CnotSchedule:
             )
 
 
-def schedule_from_colorings(
-    code: CssCode, coloring_x: Coloring, coloring_z: Coloring, mode: str = "separate"
-) -> CnotSchedule:
-    """Sequential schedule: all X-check CNOT steps first, then all Z-check steps."""
-    if mode != "separate":
-        raise ScheduleError("schedule_from_colorings builds separate-mode schedules")
-    for coloring, kind in ((coloring_x, "X"), (coloring_z, "Z")):
-        if not coloring.is_valid():
-            raise ScheduleError(f"invalid {kind} coloring")
-    mx = coloring_x.num_colors
-    mz = coloring_z.num_colors
+def _schedule(code: CssCode, mode: str, colorings) -> CnotSchedule:
+    """Schedule whose CNOTs sit at their colors' steps, each (coloring, label)
+    of ``colorings`` taking the steps after the previous one's."""
     cnots = []
-    for (q, kind, row), color in zip(coloring_x.graph.vertices, coloring_x.colors):
-        cnots.append((color + 1, kind, row, q))
-    for (q, kind, row), color in zip(coloring_z.graph.vertices, coloring_z.colors):
-        cnots.append((mx + color + 1, kind, row, q))
-    schedule = CnotSchedule(mode="separate", steps=mx + mz, cnots=tuple(sorted(cnots)))
+    steps = 0
+    for coloring, label in colorings:
+        if not coloring.is_valid():
+            raise ScheduleError(f"invalid {label} coloring")
+        for (q, kind, row), color in zip(coloring.graph.vertices, coloring.colors):
+            cnots.append((steps + color + 1, kind, row, q))
+        steps += coloring.num_colors
+    schedule = CnotSchedule(mode=mode, steps=steps, cnots=tuple(sorted(cnots)))
     schedule.validate_against(code)
     return schedule
+
+
+def schedule_from_colorings(
+    code: CssCode, coloring_x: Coloring, coloring_z: Coloring
+) -> CnotSchedule:
+    """Sequential schedule: all X-check CNOT steps first, then all Z-check steps."""
+    return _schedule(code, "separate", ((coloring_x, "X"), (coloring_z, "Z")))
 
 
 def schedule_from_interleaved_coloring(code: CssCode, coloring: Coloring) -> CnotSchedule:
-    if not coloring.is_valid():
-        raise ScheduleError("invalid interleaved coloring")
-    cnots = []
-    for (q, kind, row), color in zip(coloring.graph.vertices, coloring.colors):
-        cnots.append((color + 1, kind, row, q))
-    schedule = CnotSchedule(
-        mode="interleaved", steps=coloring.num_colors, cnots=tuple(sorted(cnots))
-    )
-    schedule.validate_against(code)
-    return schedule
+    return _schedule(code, "interleaved", ((coloring, "interleaved"),))
 
 
 @dataclass

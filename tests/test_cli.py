@@ -260,6 +260,37 @@ class TestSim:
         assert (tmp_path / "surface17-exrec.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["schedule", "build", "--code", "surface17"],
+        ["decoder", "dump", "--code", "surface17"],
+        ["sim", "exrec", "--code", "surface17", "--p", "0.001"],
+        ["sim", "lifetime", "--code", "surface17", "--p", "0.001"],
+        ["fit", "--results", __file__],
+        ["sim", "exrec", "--code", "surface17", "--p", "0.001", "outdir"],
+    ],
+)
+def test_out_in_missing_directory_is_usage_error(runner, tmp_path, monkeypatch, command):
+    # refused when the command line is parsed, before any work starts
+    from starqec import cli
+
+    def refuse(*_args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_resolve_code", refuse)
+    monkeypatch.setattr(cli, "_read_results", refuse)
+    missing = tmp_path / "missing"
+    if command[-1] == "outdir":  # the default file under $STARQEC_OUTDIR
+        command = command[:-1]
+        monkeypatch.setenv("STARQEC_OUTDIR", str(missing))
+    else:
+        command = command + ["--out", str(missing / "result")]
+    res = runner.invoke(main, command)
+    assert res.exit_code == 2, res.output
+    assert f"{missing} does not exist" in res.output
+
+
 class TestFit:
     def synthetic_csv(self, tmp_path, c, name="x"):
         from starqec.engine import ResultRow, write_results_csv
@@ -316,6 +347,22 @@ class TestFit:
         assert res.exit_code == 0, res.output
         assert "stay below" in res.output
         assert "do NOT" not in res.output
+
+    def test_fit_compare_failure_prints_and_exits_1(self, runner, tmp_path):
+        from starqec.engine import ResultRow, write_results_csv
+
+        small = self.synthetic_csv(tmp_path, 3000, "small")
+        thin = tmp_path / "thin.csv"
+        write_results_csv(thin, [ResultRow("syn", "exrec", 1e-3, 100, 1, 0.01, 0, 1, 1)])
+        out = tmp_path / "fit.json"
+        res = runner.invoke(
+            main, ["fit", "--results", str(small), "--compare", str(thin), "--out", str(out)]
+        )
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("comparison fit failed: ")
+        assert "increase trials" in res.output
+        assert isinstance(res.exception, SystemExit)  # no FitError traceback
+        assert not out.exists()
 
     def test_fit_compare_bad_m_copies_is_usage_error(self, runner, tmp_path):
         small = self.synthetic_csv(tmp_path, 3000, "small")

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -334,6 +336,23 @@ class TestVerification:
         assert c1.ok == (case in ("surface17", "ssd"))
         if case == "surface17-bad-syndrome":
             assert any("not returned to codespace" in v for v in c1.violations)
+
+    def test_simulator_freed_by_reference_counting(self):
+        # what is memoized on a circuit, schedule or simulator must not refer
+        # back to it: a cycle would keep the whole set-up alive until the
+        # garbage collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator.for_builtin("surface17")
+            assert sim.verify().ok
+            sim.distinct_signatures()
+            kept = (sim.circuit, sim.unit_circuit, sim.kernel, sim.schedule)
+            refs = [weakref.ref(obj) for obj in kept]
+            del sim, kept
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 def with_table_entry(sim, kind, syndrome, error):
