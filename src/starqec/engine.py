@@ -13,6 +13,7 @@ import csv
 import math
 import multiprocessing
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -299,7 +300,7 @@ class LifetimeSummary:
 # --- packed EC-unit kernel ---------------------------------------------------
 
 _U64 = np.dtype("<u8")  # little-endian: byte j of a lane row holds bits 8j..8j+7
-_LIFETIME_LANES = 1 << 16  # lanes per lockstep block; bounds lifetime memory
+_CYCLE_LANES = 4096  # lanes of open lifetime cycles; bounds lifetime memory
 _PAIR_LANES = 1 << 12  # lanes per block of the exhaustive sweeps; bounds their memory
 _Atoms = list[tuple[np.ndarray, np.ndarray]]  # per category: (lane, atom row) per fault
 
@@ -451,7 +452,11 @@ class EcKernel:
     def unit(self, res: np.ndarray, atoms: _Atoms) -> np.ndarray:
         """One EC unit on every lane: the incoming residuals combined with the
         atoms, then ``decide``."""
-        frame = self.incoming(res)
+        return self.unit_on(self.incoming(res), atoms)
+
+    def unit_on(self, frame: np.ndarray, atoms: _Atoms) -> np.ndarray:
+        """One EC unit on every lane from its ``incoming`` frame, which the
+        atoms are XOR-ed into in place."""
         for table, (lane, row) in zip(self._atoms, atoms):
             np.bitwise_xor.at(frame, lane, table[row])
         return self.decide(frame)
@@ -467,14 +472,26 @@ class EcKernel:
     def parities(self, res: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
         """Ideal decode of each residual, then its parities from a
         ``parity_table`` (by default, with the logical operators)."""
-        syn = self._lookup(res, self._syn3)
+        table = self._parity if table is None else table
+        return self._decoded_parities(res, self._lookup(res, self._syn3), table)
+
+    def _decoded_parities(self, res: np.ndarray, syn: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """``parities`` with each residual's syndrome ``syn`` (as ``incoming``
+        adds it) already looked up."""
         for (_b, offsets, r), corr in zip(self._types, self._corr):
             res = res ^ corr[_field(syn, offsets[0], r)]
-        return self._lookup(res, self._parity if table is None else table)
+        return self._lookup(res, table)
 
     def fails(self, res: np.ndarray) -> np.ndarray:
         """Ideal-decode probe: does a lane's corrected residual flip a logical?"""
         return self.parities(res).any(axis=1)
+
+    def probe(self, res: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per lane: ``fails``, whether the residual's syndrome is zero, and
+        the ``incoming`` frame of the next unit, all from one syndrome lookup."""
+        syn = self._lookup(res, self._syn3)
+        fails = self._decoded_parities(res, syn, self._parity).any(axis=1)
+        return fails, ~syn.any(axis=1), res ^ syn
 
     def afflicted(self, res: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Per lane, the logical qubits its ideal decode leaves with an X-type
@@ -649,47 +666,67 @@ class Simulator:
     def estimate_lifetime(
         self, noise: NoiseModel, trajectories: int, seed: int, max_rounds: int
     ) -> LifetimeSummary:
-        """Memory lifetimes; all trajectories run as kernel lanes on one stream per seed."""
+        """Memory lifetimes, censored at ``max_rounds // 3`` units, built from
+        renewal cycles on one stream per seed.
+
+        After a unit a residual fails its probe, or is clean (zero syndrome,
+        probe passes: a stabilizer, which evolves exactly as residual 0 does),
+        or carries a nonzero syndrome; a fault-free unit leaves none. So a
+        trajectory is a run of independent, identically distributed cycles,
+        each started from residual 0 and ended by the first failed or clean
+        unit, up to its first failed cycle (see ``_join_cycles``). Each of
+        ``_CYCLE_LANES`` lanes runs one open cycle; cycles are numbered in
+        (step, lane) order as they start, and joined in that order.
+        """
         if trajectories < 1:
             raise ValueError("trajectories must be >= 1")
+        if max_rounds < 3:
+            raise ValueError("max_rounds must be >= 3")
+        kernel, cap, lanes = self.kernel, max_rounds // 3, _CYCLE_LANES
         rng = fault_stream(seed)
-        censored = total_rounds = 0
-        for start in range(0, trajectories, _LIFETIME_LANES):
-            lanes = min(_LIFETIME_LANES, trajectories - start)
-            rounds, _, survivors = self._lifetime_lanes(noise, rng, lanes, max_rounds)
-            censored += survivors
-            total_rounds += int(rounds.sum())
-        return LifetimeSummary(trajectories, trajectories - censored, censored,
-                               total_rounds, max_rounds)
+        frame, cycle, units = kernel.zeros(lanes), np.arange(lanes), np.zeros(lanes, np.int64)
+        # (units, failed) of cycles first .. first + len - 1; 0 units: still open
+        first, lengths, failed = 0, np.zeros(lanes, np.int64), np.zeros(lanes, bool)
+        failures, censored, total_units, carried = 0, 0, 0, 0
+        while failures + censored < trajectories:
+            res = kernel.unit_on(frame, kernel.sample(rng, noise, lanes))
+            fails, clean, frame = kernel.probe(res)
+            units += 1
+            # a cycle longer than the cap passes it whatever units precede it
+            ended = np.flatnonzero(fails | clean | (units > cap))
+            lengths[cycle[ended] - first] = units[ended]
+            failed[cycle[ended] - first] = fails[ended]
+            frame[ended], units[ended] = 0, 0
+            cycle[ended] = first + len(lengths) + np.arange(ended.size)
+            done = int(cycle.min()) - first  # every cycle before the oldest open one ended
+            fail_units, cut, carried = _join_cycles(
+                lengths[:done], failed[:done], cap, carried, trajectories - failures - censored
+            )
+            failures += len(fail_units)
+            censored += cut
+            total_units += sum(fail_units) + cut * cap
+            first += done
+            lengths = np.concatenate([lengths[done:], np.zeros(ended.size, np.int64)])
+            failed = np.concatenate([failed[done:], np.zeros(ended.size, bool)])
+        return LifetimeSummary(trajectories, failures, censored, 3 * total_units, max_rounds)
 
     def run_lifetime_fast(
         self, noise: NoiseModel, seed: int, trajectory: int, max_rounds: int
     ) -> TrialResult:
-        """One lifetime trajectory on the packed kernel, with its own
-        (seed, trajectory) stream; same physics as ``estimate_lifetime``."""
-        rng = fault_stream(seed, trajectory)
-        rounds, last, _ = self._lifetime_lanes(noise, rng, 1, max_rounds)
-        (ax, az), = self.kernel.afflicted(last)
-        return TrialResult(bool(ax or az), ax, az, int(rounds[0]))
-
-    def _lifetime_lanes(self, noise: NoiseModel, rng, lanes: int, max_rounds: int):
-        """Run ``lanes`` trajectories in lockstep until each fails its probe or
-        reaches ``max_rounds // 3`` units. Returns per lane the rounds survived
-        and the residual when it stopped, and how many lanes never failed."""
+        """One lifetime trajectory on the packed kernel, one unit at a time
+        on its own (seed, trajectory) stream, until its probe fails or it
+        reaches ``max_rounds // 3`` units."""
         if max_rounds < 3:
             raise ValueError("max_rounds must be >= 3")
         kernel, units = self.kernel, max_rounds // 3
-        rounds = np.full(lanes, 3 * units)
-        alive, res, last = np.arange(lanes), kernel.zeros(lanes), kernel.zeros(lanes)
+        rng = fault_stream(seed, trajectory)
+        res = kernel.zeros(1)
         for u in range(units):
-            res = kernel.unit(res, kernel.sample(rng, noise, alive.size))
-            dead = kernel.fails(res)
-            last[alive] = res
-            rounds[alive[dead]] = 3 * (u + 1)
-            alive, res = alive[~dead], res[~dead]
-            if not alive.size:
-                break
-        return rounds, last, alive.size
+            res = kernel.unit(res, kernel.sample(rng, noise, 1))
+            if kernel.fails(res)[0]:
+                (ax, az), = kernel.afflicted(res)
+                return TrialResult(True, ax, az, 3 * (u + 1))
+        return TrialResult(False, (), (), 3 * units)
 
     def _exrec_batch(self, noise, units, seed, point_idx, batch_idx, n_trials) -> int:
         """Failures in one batch of exRec (or single-EC) trials, on its own stream."""
@@ -698,6 +735,34 @@ class Simulator:
         for _ in range(units):
             res = self.kernel.unit(res, self.kernel.sample(rng, noise, n_trials))
         return int(self.kernel.fails(res).sum())
+
+
+def _join_cycles(lengths: np.ndarray, failed: np.ndarray, cap: int, carried: int, wanted: int):
+    """Trajectories from ended cycles, (``lengths`` units, ``failed``) in
+    start order, the first cycle continuing a trajectory that has run
+    ``carried`` units. A trajectory ends at its first failed cycle, unless
+    its units pass ``cap`` first: it is then censored at ``cap`` units, and
+    the cycle that passes the cap is dropped. Stops after ``wanted``
+    trajectories. Returns the units of each failed trajectory, the number
+    censored, and the units run by the trajectory left unfinished."""
+    ends = np.cumsum(lengths).tolist()
+    fail_at = np.flatnonzero(failed).tolist()
+    fail_units, censored, pos, start = [], 0, 0, -carried
+    while len(fail_units) + censored < wanted:
+        # cycle i ends ends[i] - start units into the current trajectory
+        k = bisect_left(fail_at, pos)
+        f = fail_at[k] if k < len(fail_at) else len(ends)
+        g = bisect_left(ends, start + cap, pos)  # the first cycle reaching the cap
+        if f <= g and f < len(ends) and ends[f] - start <= cap:
+            fail_units.append(ends[f] - start)
+            pos = f + 1
+        elif g < len(ends):
+            censored += 1
+            pos = g + 1
+        else:
+            return fail_units, censored, (ends[-1] if ends else 0) - start
+        start = ends[pos - 1]
+    return fail_units, censored, 0
 
 
 def _grid_blocks(rows: int, cols: int, upper: bool = False):

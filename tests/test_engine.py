@@ -4,7 +4,9 @@ import gc
 import hashlib
 import math
 import weakref
+from functools import reduce
 from itertools import combinations
+from operator import xor
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +170,14 @@ class TestKernel:
             decoded = [scalar_decode(sim, x, z) for x, z in pairs]
             assert sum(bool(f) != d.failed for f, d in zip(probe, decoded)) == 0
             assert kernel.afflicted(lanes_in) == [(d.afflicted_x, d.afflicted_z) for d in decoded]
+            # the lifetime step's probe: the same verdict, the zero-syndrome
+            # test, and the next unit's incoming frame from one lookup
+            fails, clean, frame = kernel.probe(lanes_in)
+            assert np.array_equal(fails, probe)
+            zero = [not (sim.tables["X"].syndrome_of(x) or sim.tables["Z"].syndrome_of(z))
+                    for x, z in pairs]
+            assert clean.tolist() == zero
+            assert np.array_equal(frame, kernel.incoming(lanes_in))
         assert 0 < kernel.fails(out).sum() < lanes  # both outcomes exercised
 
     @pytest.mark.parametrize("width, words", [(62, 4), (70, 4), (130, 6)])
@@ -244,6 +254,35 @@ class TestKernel:
             pairs = (hit & np.roll(hit, -1, axis=1)).sum(axis=1)
             se = pairs.std(ddof=1) / math.sqrt(lanes)
             assert abs(pairs.mean() - n_loc * q * q) <= 5 * se
+
+    @pytest.mark.parametrize("code", ["surface17", "ssd"])
+    def test_renewal_premise(self, code, ssd_sim, s17_sim):
+        # what estimate_lifetime's renewal cycles rest on, checked exactly:
+        # a stabilizer residual s evolves as residual 0 does,
+        # unit(s, A) == s ^ unit(0, A) with the same probe verdict, and a
+        # fault-free unit leaves zero syndrome on any residual
+        sim = ssd_sim if code == "ssd" else s17_sim
+        kernel, n, lanes = sim.kernel, sim.code.n, 10_000
+        rng = np.random.default_rng(17)
+
+        def span(rows) -> list[int]:
+            picks = rng.integers(0, 2, size=(lanes, len(rows)))
+            return [reduce(xor, (r for r, b in zip(rows, pick) if b), 0) for pick in picks]
+
+        stab = list(zip(span(sim.code.hx.rows), span(sim.code.hz.rows)))
+        assert sum(x != 0 and z != 0 for x, z in stab) > lanes // 2
+        atoms = kernel.sample(fault_stream(2026, 7), NoiseModel(5e-3), lanes)
+        assert np.unique(np.concatenate([lane for lane, _ in atoms])).size > lanes // 2
+        stab = kernel.pack_residuals(stab)
+        from_zero = kernel.unit(kernel.zeros(lanes), atoms)
+        from_stab = kernel.unit(stab, atoms)
+        assert np.array_equal(from_stab, stab ^ from_zero)
+        assert np.array_equal(kernel.fails(from_stab), kernel.fails(from_zero))
+        assert kernel.fails(from_zero).any()
+        residuals = [(int(x), int(z)) for x, z in rng.integers(0, 1 << n, size=(lanes, 2))]
+        out = kernel.unpack(kernel.unit(kernel.pack_residuals(residuals), []))
+        assert all(sim.tables["X"].syndrome_of(x) == 0 == sim.tables["Z"].syndrome_of(z)
+                   for x, z in out)
 
     def test_lockstep_lifetime_matches_scalar_oracle(self, s17_sim):
         noise = NoiseModel(5e-3)
@@ -535,6 +574,63 @@ class TestLifetime:
         assert summary.trajectories == 50
         assert summary.failures + summary.censored == 50
         assert summary.mean_rounds > 0
+
+    def test_zero_noise_censors_every_trajectory(self, s17_sim):
+        summary = s17_sim.estimate_lifetime(NoiseModel(0.0), 7, seed=1, max_rounds=31)
+        assert (summary.failures, summary.censored) == (0, 7)
+        assert summary.total_rounds == 7 * 30
+
+    def test_censoring_matches_scalar_oracle(self, s17_sim):
+        # the cap branch of the renewal-cycle join: at a 10-unit cap about
+        # half the trajectories are censored; the censored share and the
+        # mean rounds must agree with the scalar oracle within 5 sigma
+        noise, max_rounds = NoiseModel(5e-3), 30
+        oracle = [run_lifetime(s17_sim, noise, 3000 + i, max_rounds) for i in range(2000)]
+        summary = s17_sim.estimate_lifetime(noise, 20_000, seed=6, max_rounds=max_rounds)
+        share = sum(not r.failed for r in oracle) / len(oracle)
+        weights = 1 / len(oracle) + 1 / summary.trajectories
+        assert 0.1 < share < 0.9
+        se = math.sqrt(share * (1 - share) * weights)
+        assert abs(summary.censored / summary.trajectories - share) <= 5 * se
+        rounds = [r.rounds_survived for r in oracle]
+        mean = sum(rounds) / len(rounds)
+        sd = math.sqrt(sum((r - mean) ** 2 for r in rounds) / (len(rounds) - 1))
+        assert abs(summary.mean_rounds - mean) <= 5 * sd * math.sqrt(weights)
+
+    def test_join_cycles_by_hand(self):
+        # cap 5; cycles (units, failed): a failure at the cap counts, a
+        # clean cycle reaching it censors, a cycle passing it censors and is
+        # dropped, and units carry over into the next call
+        lengths = np.array([2, 1, 1, 3, 2, 3, 4, 2, 6, 1, 1, 3])
+        failed = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0], dtype=bool)
+        join = engine._join_cycles
+        assert join(lengths, failed, 5, 0, 10) == ([2, 5, 2], 3, 3)
+        assert join(lengths, failed, 5, 0, 2) == ([2, 5], 0, 0)
+        assert join(np.array([2]), np.array([True]), 5, 3, 10) == ([5], 0, 0)
+        assert join(np.array([3]), np.array([True]), 5, 3, 10) == ([], 1, 0)
+        assert join(np.array([], int), np.array([], bool), 5, 3, 10) == ([], 0, 3)
+
+    def test_cycles_end_past_the_cap(self, s17_sim, monkeypatch):
+        # a cycle open after cap units passes the cap whatever precedes it,
+        # so its lane ends it: with a probe that ends no cycle, every
+        # trajectory is censored after cap + 1 steps
+        kernel, steps = s17_sim.kernel, []
+
+        def probe(res):
+            steps.append(len(res))
+            assert len(steps) <= 4
+            never = np.zeros(len(res), dtype=bool)
+            return never, never, kernel.incoming(res)
+
+        monkeypatch.setattr(kernel, "probe", probe)
+        summary = s17_sim.estimate_lifetime(NoiseModel(1e-3), 5, seed=1, max_rounds=9)
+        assert (summary.censored, summary.total_rounds, len(steps)) == (5, 45, 4)
+
+    def test_too_few_rounds_is_an_error(self, s17_sim):
+        with pytest.raises(ValueError):
+            s17_sim.estimate_lifetime(NoiseModel(5e-3), 10, seed=1, max_rounds=2)
+        with pytest.raises(ValueError):
+            s17_sim.run_lifetime_fast(NoiseModel(5e-3), seed=1, trajectory=0, max_rounds=2)
 
     def test_censoring_and_reproducibility(self, s17_sim):
         noise = NoiseModel(5e-3)
