@@ -298,14 +298,6 @@ def _check_grid(circuit: EcCircuit, n_qubits: int) -> None:
             raise ScheduleError(f"timestep {t} does not cover every qubit")
 
 
-def format_circuit(circuit: EcCircuit) -> str:
-    """Debug/diff dump: one line per location, canonical order."""
-    lines = []
-    for loc in circuit.locations:
-        lines.append(f"{loc.t} {loc.kind} " + " ".join(str(q) for q in loc.qubits))
-    return "\n".join(lines) + "\n"
-
-
 def fault_stream(seed: int, *stream: int) -> np.random.Generator:
     """Independent, reproducible random stream for a (seed, stream-index) pair."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))

@@ -20,13 +20,13 @@ from .engine import (
     ResultRow,
     Simulator,
     count_cnot_pairs,
-    exact_quadratic_coefficient,
+    exact_c_parts,
     fit_quadratic,
     m_copy_failure,
     read_results_csv,
+    write_lifetime_csv,
     write_results_csv,
     PointEstimate,
-    wilson_interval,
 )
 from .faulttol import (
     ScheduleSearchError,
@@ -323,15 +323,21 @@ def sim_verify(code_name, complex_file, schedule_path, retries):
 @click.option("--retries", default=1000, show_default=True)
 def sim_exact(code_name, complex_file, schedule_path, retries):
     """Exact leading coefficient c of the exRec failure rate, p_L = c p^2 + O(p^3),
-    from every pair of faults; prints JSON."""
+    from every pair of faults, with its split by error type; prints JSON."""
     c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
     t0 = time.perf_counter()
-    coeff = exact_quadratic_coefficient(simulator)
+    parts = exact_c_parts(simulator)
     wall_s = time.perf_counter() - t0
     distinct = len(simulator.distinct_signatures()[0])
+    coeff = parts.c
     summary = {
         "code": c.name,
         "c": coeff,
+        # c = c_x + c_z - c_xz: pairs failing on X, on Z, and on both
+        "c_x": parts.c_x,
+        "c_z": parts.c_z,
+        "c_xz": parts.c_xz,
+        "keys": parts.keys,
         "pstar": 1.0 / (10.0 * coeff) if coeff > 0 else None,
         "distinct_signatures": distinct,
         # unordered pairs within one unit, ordered pairs across the two units
@@ -406,19 +412,16 @@ def sim_lifetime(code_name, complex_file, schedule_path, ps, trials, rounds_max,
     if rounds_max < 3:
         raise click.UsageError("--rounds-max must be >= 3")
     c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
-    rows = []
+    summaries = []
     for p in ps:
         summary = simulator.estimate_lifetime(NoiseModel(p), trials, seed, rounds_max)
-        frac = summary.failures / summary.trajectories
-        lo, hi = wilson_interval(summary.failures, summary.trajectories)
         click.echo(
             f"p={p:g} trajectories={summary.trajectories} mean_rounds={summary.mean_rounds:.1f} "
             f"failed={summary.failures} censored={summary.censored}"
         )
-        rows.append(ResultRow(c.name, "lifetime", p, summary.trajectories,
-                              summary.failures, frac, lo, hi, seed))
+        summaries.append((p, summary))
     out_path = Path(out) if out else _out_dir() / f"{c.name}-lifetime.csv"
-    write_results_csv(out_path, rows)
+    write_lifetime_csv(out_path, c.name, seed, summaries)
     click.echo(f"results: {out_path}")
 
 

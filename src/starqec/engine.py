@@ -213,6 +213,19 @@ def write_results_csv(path: str | Path, rows: list[ResultRow]) -> None:
             )
 
 
+def write_lifetime_csv(
+    path: str | Path, code: str, seed: int, summaries: list[tuple[float, "LifetimeSummary"]]
+) -> None:
+    """One row per (p, lifetime summary)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["code", "p", "trajectories", "failures", "censored", "mean_rounds",
+                         "max_rounds", "seed"])
+        for p, s in summaries:
+            writer.writerow([code, repr(p), s.trajectories, s.failures, s.censored,
+                             repr(s.mean_rounds), s.max_rounds, seed])
+
+
 def read_results_csv(path: str | Path) -> list[ResultRow]:
     """The rows of a results CSV; a missing column or a field of the wrong
     type raises ValueError."""
@@ -405,12 +418,6 @@ class EcKernel:
     def pack_residuals(self, residuals: list[tuple[int, int]]) -> np.ndarray:
         """One row per (x, z) data residual."""
         return self.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in residuals])
-
-    def unpack(self, lanes: np.ndarray) -> list[tuple[int, int]]:
-        """(x, z) data residuals of the given lanes."""
-        (xb, _, _), (zb, _, _) = self._types
-        values = [int.from_bytes(row.tobytes(), "little") for row in lanes.astype(_U64)]
-        return [((v >> xb) % (1 << self._n), (v >> zb) % (1 << self._n)) for v in values]
 
     def sample(self, rng: np.random.Generator, noise: NoiseModel, lanes: int) -> _Atoms:
         """One EC unit's faults per lane: per category, lane and atom row of
@@ -765,20 +772,14 @@ def _join_cycles(lengths: np.ndarray, failed: np.ndarray, cap: int, carried: int
     return fail_units, censored, 0
 
 
-def _grid_blocks(rows: int, cols: int, upper: bool = False):
+def _grid_blocks(rows: int, cols: int):
     """Row and column indices of the cells of a rows x cols grid, in row-major
     order, a block of whole rows at a time of at most ``_PAIR_LANES`` cells
-    (one row if a row is longer); with ``upper``, only the cells on or above
-    the diagonal of a square grid. The whole grid's indices are never formed."""
-    top = 0
-    while top < rows:
-        stop = min(rows, top + max(1, _PAIR_LANES // (cols - top * upper)))
-        row = np.arange(top, stop)
-        first = row * upper
-        counts = cols - first
-        i = np.repeat(row, counts)
-        yield i, np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
-        top = stop
+    (one row if a row is longer). The whole grid's indices are never formed."""
+    step = max(1, _PAIR_LANES // cols)
+    for top in range(0, rows, step):
+        i = np.repeat(np.arange(top, min(rows, top + step)), cols)
+        yield i, np.tile(np.arange(cols), len(i) // cols)
 
 
 def malignant_same_unit(kernel: EcKernel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -795,38 +796,102 @@ def malignant_cross(kernel: EcKernel, after: np.ndarray, sigs: np.ndarray) -> np
     return kernel.fails(kernel.decide(after ^ sigs))
 
 
-def exact_quadratic_coefficient(sim: "Simulator") -> float:
-    """Leading p^2 coefficient of the exRec failure rate by exact enumeration
-    of all two-fault combinations, each pair a kernel lane.
+@dataclass(frozen=True)
+class ExactParts:
+    """The exact c split by error type: the weight of the malignant pairs
+    whose X outcome fails (``c_x``), whose Z outcome fails (``c_z``) and
+    whose both fail (``c_xz``), and the number of distinct X and Z keys."""
+
+    c_x: float
+    c_z: float
+    c_xz: float
+    keys: dict[str, int]
+
+    @property
+    def c(self) -> float:
+        return self.c_x + self.c_z - self.c_xz
+
+
+def _type_keys(kernel: EcKernel, sigs: list[FaultSig]):
+    """Per error type, the distinct parts in that type's words of the packed
+    ``sigs`` and then of the kernel's atoms, as frames whose other type's
+    words are zero, and the key index of each signature, then of each atom."""
+    rows = np.vstack([kernel.pack(sigs), *kernel._atoms])
+    split = kernel._types[1][0] // 64
+    for cols in (slice(0, split), slice(split, kernel.words)):
+        parts, index = np.unique(rows[:, cols], axis=0, return_inverse=True)
+        keys = kernel.zeros(len(parts))
+        keys[:, cols] = parts
+        yield keys, index.reshape(-1)
+
+
+def _key_grids(kernel: EcKernel, keys: np.ndarray) -> np.ndarray:
+    """The three pair rules on every ordered pair of keys: both faults in
+    the exRec's first unit, both in its second (the rules read the keys'
+    XOR), and the first key's fault in unit 1 with the second's in unit 2."""
+    n = len(keys)
+    grids = np.zeros((3, n, n), bool)
+    after = kernel.incoming(kernel.decide(keys))
+    for i, j in _grid_blocks(n, n):
+        grids[0, i, j], grids[1, i, j] = malignant_same_unit(kernel, keys[i] ^ keys[j])
+        grids[2, i, j] = malignant_cross(kernel, after[i], keys[j])
+    return grids
+
+
+def _join(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sums over ordered signature pairs of their weight product, with ``w``
+    the weight of each (X key, Z key): over the pairs whose X keys are
+    malignant in ``f``, whose Z keys are in ``g``, and both. One grid is
+    float at a time, and einsum's own loops run the products, not BLAS."""
+    wx, wz = w.sum(axis=1), w.sum(axis=0)
+    grid = f.astype(float)
+    sx = np.einsum("a,ab,b->", wx, grid, wx)
+    fw = np.einsum("ab,bd->ad", grid, w)
+    grid = g.astype(float)
+    sz = np.einsum("c,cd,d->", wz, grid, wz)
+    return np.array([sx, sz, (w * np.einsum("ad,cd->ac", fw, grid)).sum()])
+
+
+def exact_c_parts(sim: "Simulator") -> ExactParts:
+    """The leading p^2 coefficient of the exRec failure rate by exact
+    enumeration of all two-fault combinations, split by error type.
 
     Every location-value atom carries its probability weight (linear in p);
     c is the probability-weighted count of malignant pairs, divided by p^2.
+    X and Z are decoded apart, each from its own words, so a pair fails if
+    its X part fails or its Z part does, and the rules run on per-type keys
+    (``_key_grids``). The pair sums then follow from one weight matrix over
+    (X key, Z key) (``_join``); pairs of atoms at one location, which cannot
+    both occur, are read off the same grids and taken out.
     """
     kernel = sim.kernel
     distinct, weights = sim.distinct_signatures()
-    sigs = kernel.pack(distinct)
-    # pairs within one unit (units are identical circuits): both rules per pair
-    both = np.zeros(2)
-    for i, j in _grid_blocks(len(distinct), len(distinct), upper=True):
-        w = weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
-        for rule, mal in enumerate(malignant_same_unit(kernel, sigs[i] ^ sigs[j])):
-            both[rule] += w[mal].sum()
-    # subtract impossible pairs: two atoms at the same location
+    (xkeys, kx), (zkeys, kz) = _type_keys(kernel, distinct)
+    f, g = _key_grids(kernel, xkeys), _key_grids(kernel, zkeys)
+    w = np.zeros((len(xkeys), len(zkeys)))
+    np.add.at(w, (kx[: len(distinct)], kz[: len(distinct)]), weights)
+    # per part (x, z, xz), over both same-unit rules: pairs of atoms at one location
+    same_location = np.zeros(3)
     unit_noise = NoiseModel(1.0)
+    start = len(distinct)
     for cat, atoms, (n_loc, n_val) in zip(_CATEGORIES, kernel._atoms, kernel._sizes):
         a, b = np.triu_indices(n_val)
-        w = (unit_noise.category_prob(cat) / n_val) ** 2 * np.where(a == b, 1.0, 2.0)
-        for loc, k in _grid_blocks(n_loc, a.size):
-            frames = atoms[loc * n_val + a[k]] ^ atoms[loc * n_val + b[k]]
-            for rule, mal in enumerate(malignant_same_unit(kernel, frames)):
-                both[rule] -= w[k][mal].sum()
-    total = 0.5 * both.sum()
-    # one fault in each unit (ordered)
-    after = kernel.incoming(kernel.decide(sigs))
-    for i, j in _grid_blocks(len(distinct), len(distinct)):
-        mal = malignant_cross(kernel, after[i], sigs[j])
-        total += weights[i[mal]] @ weights[j[mal]]
-    return float(total)
+        pair_w = (unit_noise.category_prob(cat) / n_val) ** 2 * np.where(a == b, 1.0, 2.0)
+        first = start + n_val * np.arange(n_loc)[:, None]
+        fx = f[:2, kx[first + a], kx[first + b]]
+        gz = g[:2, kz[first + a], kz[first + b]]
+        for part, mal in enumerate((fx, gz, fx & gz)):
+            same_location[part] += (mal * pair_w).sum()
+        start += len(atoms)
+    first_unit, second_unit, cross = (_join(w, f[rule], g[rule]) for rule in range(3))
+    c_x, c_z, c_xz = 0.5 * (first_unit + second_unit - same_location) + cross
+    return ExactParts(float(c_x), float(c_z), float(c_xz), {"X": len(xkeys), "Z": len(zkeys)})
+
+
+def exact_quadratic_coefficient(sim: "Simulator") -> float:
+    """Leading p^2 coefficient c of the exRec failure rate, exact: see
+    ``exact_c_parts``."""
+    return exact_c_parts(sim).c
 
 
 # --- multiprocessing support -------------------------------------------------

@@ -94,16 +94,9 @@ class BitMatrix:
     def from_supports(cls, supports: Iterable[Iterable[int]], cols: int) -> "BitMatrix":
         return cls(tuple(BitVector.from_support(cols, s).bits for s in supports), cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(tuple(1 << i for i in range(n)), n)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
 
 
 def syndrome_bits(rows: tuple[int, ...] | list[int], error: int) -> int:

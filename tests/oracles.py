@@ -13,9 +13,17 @@ from starqec.circuits import (
 )
 from starqec.codes import CssCode
 from starqec.decoder import EcDecision, LookupTable, ec_decision
-from starqec.engine import Condition1Report, ExRecSweepReport, TrialResult
+from starqec.engine import (
+    Condition1Report,
+    ExRecSweepReport,
+    TrialResult,
+    _grid_blocks,
+    malignant_cross,
+    malignant_same_unit,
+)
 from starqec.faulttol import enumerate_single_fault_errors, syndrome_bits
 from starqec.frames import FaultSig, PauliFrame, propagate
+from starqec.gf2 import BitMatrix
 
 
 def naive_rank(dense: np.ndarray) -> int:
@@ -72,6 +80,32 @@ def naive_kernel(dense: np.ndarray) -> list[np.ndarray]:
                 v[pc] = 1
         basis.append(v)
     return basis
+
+
+# --- readers and builders the library does not need ---
+
+
+def identity(n: int) -> BitMatrix:
+    return BitMatrix(tuple(1 << i for i in range(n)), n)
+
+
+def to_dense(m: BitMatrix) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.rows]
+
+
+def format_circuit(circuit: EcCircuit) -> str:
+    """Debug/diff dump: one line per location, canonical order."""
+    lines = []
+    for loc in circuit.locations:
+        lines.append(f"{loc.t} {loc.kind} " + " ".join(str(q) for q in loc.qubits))
+    return "\n".join(lines) + "\n"
+
+
+def unpack(kernel, lanes: np.ndarray) -> list[tuple[int, int]]:
+    """(x, z) data residuals of the given kernel lanes."""
+    (xb, _, _), (zb, _, _) = kernel._types
+    values = [int.from_bytes(row.tobytes(), "little") for row in lanes.astype("<u8")]
+    return [((v >> xb) % (1 << kernel._n), (v >> zb) % (1 << kernel._n)) for v in values]
 
 
 # --- scalar EC unit, ideal decoder, trials and fault sampler ---
@@ -362,3 +396,42 @@ def scalar_exact_c(sim):
             if _one_in_each(sim, sig_list[i], sig_list[j]):
                 total += w_list[i] * w_list[j]
     return total
+
+
+def _upper_blocks(n: int, lanes: int = 1 << 12):
+    """Row and column indices of the cells on or above the diagonal of an
+    n x n grid, a block of whole rows of about ``lanes`` cells at a time."""
+    top = 0
+    while top < n:
+        stop = min(n, top + max(1, lanes // (n - top)))
+        i, j = np.triu_indices(stop - top, k=top, m=n)
+        yield i + top, j
+        top = stop
+
+
+def lane_exact_c(sim):
+    """``exact_quadratic_coefficient`` with each pair of distinct signatures
+    a kernel lane: unordered pairs within one unit under both rules, less
+    the pairs of atoms at one location, and ordered pairs across units."""
+    kernel = sim.kernel
+    distinct, weights = sim.distinct_signatures()
+    sigs = kernel.pack(distinct)
+    both = np.zeros(2)
+    for i, j in _upper_blocks(len(distinct)):
+        w = weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
+        for rule, mal in enumerate(malignant_same_unit(kernel, sigs[i] ^ sigs[j])):
+            both[rule] += w[mal].sum()
+    unit_noise = NoiseModel(1.0)
+    for cat, atoms, (n_loc, n_val) in zip(CATEGORIES, kernel._atoms, kernel._sizes):
+        a, b = np.triu_indices(n_val)
+        w = (unit_noise.category_prob(cat) / n_val) ** 2 * np.where(a == b, 1.0, 2.0)
+        for loc, k in _grid_blocks(n_loc, a.size):
+            frames = atoms[loc * n_val + a[k]] ^ atoms[loc * n_val + b[k]]
+            for rule, mal in enumerate(malignant_same_unit(kernel, frames)):
+                both[rule] -= w[k][mal].sum()
+    total = 0.5 * both.sum()
+    after = kernel.incoming(kernel.decide(sigs))
+    for i, j in _grid_blocks(len(distinct), len(distinct)):
+        mal = malignant_cross(kernel, after[i], sigs[j])
+        total += weights[i[mal]] @ weights[j[mal]]
+    return float(total)

@@ -12,14 +12,13 @@ from starqec.circuits import (
     build_ec_circuit,
     cnot_fault_components,
     fault_stream,
-    format_circuit,
 )
 from starqec.codes import CssCode
 from starqec.faulttol import builtin_schedule
 from starqec.gf2 import BitMatrix
 from starqec.scheduling import CnotSchedule
 
-from oracles import sample_faults
+from oracles import format_circuit, sample_faults
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -171,8 +172,17 @@ class TestSim:
             ],
         )
         assert res.exit_code == 0, res.output
-        assert "mean_rounds=" in res.output
-        assert out.exists()
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert list(row) == ["code", "p", "trajectories", "failures", "censored",
+                             "mean_rounds", "max_rounds", "seed"]
+        assert (row["code"], row["trajectories"], row["max_rounds"]) == ("surface17", "30", "3000")
+        assert f"mean_rounds={float(row['mean_rounds']):.1f} " in res.output
+        assert f"failed={row['failures']} censored={row['censored']}" in res.output
+        # a lifetime CSV holds no failure rates to fit
+        res = runner.invoke(main, ["fit", "--results", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "missing column(s)" in res.output
 
     def test_lifetime_rejects_zero_trials(self, runner):
         res = runner.invoke(
@@ -223,6 +233,9 @@ class TestSim:
         assert n == 756
         assert summary["pairs"] == n * (n + 1) // 2 + n * n
         assert summary["wall_s"] > 0
+        parts = summary["c_x"] + summary["c_z"] - summary["c_xz"]
+        assert parts == pytest.approx(summary["c"], rel=1e-12)
+        assert summary["keys"] == {"X": 98, "Z": 98}
 
     def test_exact_bad_inputs_are_usage_errors(self, runner, tmp_path):
         path = tmp_path / "bad.sched"

@@ -29,6 +29,7 @@ from starqec.engine import (
     ResultRow,
     Simulator,
     count_cnot_pairs,
+    exact_c_parts,
     exact_quadratic_coefficient,
     fit_quadratic,
     malignant_cross,
@@ -45,6 +46,7 @@ from starqec.scheduling import CnotSchedule
 
 from oracles import (
     faults_to_sigs,
+    lane_exact_c,
     run_ec_unit,
     run_exrec_trial,
     run_lifetime,
@@ -55,6 +57,7 @@ from oracles import (
     scalar_exrec_sweep,
     scalar_malignant,
     scalar_unit,
+    unpack,
 )
 
 
@@ -160,7 +163,7 @@ class TestKernel:
         kernel = sim.kernel
         res = kernel.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in incoming])
         out = kernel.unit(res, kernel_atoms(sim, fault_sets))
-        got = kernel.unpack(out)
+        got = unpack(kernel, out)
         want = [
             scalar_unit(sim, faults_to_sigs(sim, f), x, z) for f, (x, z) in zip(fault_sets, incoming)
         ]
@@ -202,11 +205,11 @@ class TestKernel:
                   for i in range(lanes)]
         incoming = [(residual(), residual()) for _ in range(lanes)]
         res = kernel.pack([FaultSig(x, z, (0,) * 3, (0,) * 3) for x, z in incoming])
-        assert kernel.unpack(res) == incoming
+        assert unpack(kernel, res) == incoming
         out = kernel.unit(res, kernel_atoms(s17_sim, faults))
         want = [scalar_unit(s17_sim, faults_to_sigs(s17_sim, f), x, z)
                 for f, (x, z) in zip(faults, incoming)]
-        assert kernel.unpack(out) == want
+        assert unpack(kernel, out) == want
         probe = kernel.fails(out)
         assert [bool(f) for f in probe] == [scalar_decode(s17_sim, x, z).failed for x, z in want]
 
@@ -280,7 +283,7 @@ class TestKernel:
         assert np.array_equal(kernel.fails(from_stab), kernel.fails(from_zero))
         assert kernel.fails(from_zero).any()
         residuals = [(int(x), int(z)) for x, z in rng.integers(0, 1 << n, size=(lanes, 2))]
-        out = kernel.unpack(kernel.unit(kernel.pack_residuals(residuals), []))
+        out = unpack(kernel, kernel.unit(kernel.pack_residuals(residuals), []))
         assert all(sim.tables["X"].syndrome_of(x) == 0 == sim.tables["Z"].syndrome_of(z)
                    for x, z in out)
 
@@ -364,11 +367,7 @@ class TestVerification:
         # the kernel-backed sweeps must give the scalar loops' case counts
         # and violation lists, message for message, also on broken tables;
         # a correction with the wrong syndrome leaves outputs off the codespace
-        sim = s17_sim if case.startswith("surface17") else ssd_sim
-        if case.startswith("ssd-bad"):
-            sim = corrupted_sim(ssd_sim, ssd_code, case[-1].upper())
-        elif case == "surface17-bad-syndrome":
-            sim = bad_syndrome_sim(s17_sim)
+        sim = case_sim(case, ssd_sim, s17_sim, ssd_code)
         c1, sweep = sim.verify_condition1(), sim.verify_exrec_single_faults()
         assert c1 == scalar_condition1(sim)
         assert sweep == scalar_exrec_sweep(sim)
@@ -405,6 +404,16 @@ def with_table_entry(sim, kind, syndrome, error):
     broken.tables = {**sim.tables, kind: bad}
     broken.kernel = EcKernel(broken)
     return broken
+
+
+def case_sim(case, ssd_sim, s17_sim, ssd_code):
+    """The simulator a test case names: a built-in code, Surface-17 with
+    ``bad_syndrome_sim``'s table, or SSD with a ``corrupted_sim`` X or Z table."""
+    if case.startswith("ssd-bad"):
+        return corrupted_sim(ssd_sim, ssd_code, case[-1].upper())
+    if case == "surface17-bad-syndrome":
+        return bad_syndrome_sim(s17_sim)
+    return ssd_sim if case == "ssd" else s17_sim
 
 
 def bad_syndrome_sim(s17_sim):
@@ -453,12 +462,10 @@ class TestExactC:
         assert not distinct[1].flags.writeable
 
     @pytest.mark.parametrize("code", ["surface17", "ssd", "surface17-bad-syndrome"])
-    def test_pair_rules_match_scalar(self, code, ssd_sim, s17_sim):
+    def test_pair_rules_match_scalar(self, code, ssd_sim, s17_sim, ssd_code):
         # kernel malignancy of random signature pairs, the trivial signature
         # included, against the scalar rules
-        sim = ssd_sim if code == "ssd" else s17_sim
-        if code == "surface17-bad-syndrome":
-            sim = bad_syndrome_sim(s17_sim)
+        sim = case_sim(code, ssd_sim, s17_sim, ssd_code)
         kernel = sim.kernel
         distinct, weights = sim.distinct_signatures()
         assert len(weights) == len(distinct) == len(set(distinct))
@@ -471,6 +478,45 @@ class TestExactC:
         want = [list(scalar_malignant(sim, distinct[a], distinct[b])) for a, b in zip(i, j)]
         assert got == want
         assert all(0 < m.sum() < len(i) for m in (same1, same2, cross))
+
+    @pytest.mark.parametrize(
+        "case", ["surface17", "ssd", "surface17-bad-syndrome", "ssd-bad-x", "ssd-bad-z"]
+    )
+    def test_matches_lane_enumeration(self, case, ssd_sim, s17_sim, ssd_code):
+        # per-type key grids joined by one weight matrix against every
+        # signature pair as a lane, also on broken tables
+        sim = case_sim(case, ssd_sim, s17_sim, ssd_code)
+        parts = exact_c_parts(sim)
+        assert parts.c == pytest.approx(lane_exact_c(sim), rel=1e-12, abs=0)
+        assert parts.c == exact_quadratic_coefficient(sim)
+        assert 0 < parts.c_xz < min(parts.c_x, parts.c_z)
+
+    @pytest.mark.parametrize("code", ["surface17", "ssd", "surface17-bad-syndrome"])
+    def test_pair_rules_split_by_error_type(self, code, ssd_sim, s17_sim, ssd_code):
+        # the premise of the key grids: on random ordered signature pairs,
+        # each rule fails on the full frames exactly when it fails on the
+        # frames' X words alone or on their Z words alone
+        sim = case_sim(code, ssd_sim, s17_sim, ssd_code)
+        kernel = sim.kernel
+        distinct, _weights = sim.distinct_signatures()
+        sigs = kernel.pack(distinct)
+        split = kernel._types[1][0] // 64
+        x_only, z_only = sigs.copy(), sigs.copy()
+        x_only[:, split:] = 0
+        z_only[:, :split] = 0
+        rng = np.random.default_rng(23)
+        i, j = rng.integers(0, len(distinct), size=(2, 10_000))
+
+        def rules(rows):
+            after = kernel.incoming(kernel.decide(rows))[i]
+            return np.stack([*malignant_same_unit(kernel, rows[i] ^ rows[j]),
+                             malignant_cross(kernel, after, rows[j])])
+
+        full, x, z = rules(sigs), rules(x_only), rules(z_only)
+        assert np.array_equal(full, x | z)
+        # both types fail on some pairs, and each alone on others
+        assert all((x & z).any(axis=1)) and all((x & ~z).any(axis=1))
+        assert all((z & ~x).any(axis=1))
 
 
 class TestTrials:
