@@ -48,9 +48,10 @@ class TrialResult:
     afflicted_z: tuple[int, ...]
     rounds_survived: int | None = None
 
-    @property
-    def afflicted(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.afflicted_x) | set(self.afflicted_z)))
+
+def _afflicted(ax, az) -> tuple[int, ...]:
+    """The logical qubits with an X-type or a Z-type logical fault, in order."""
+    return tuple(sorted({*ax, *az}))
 
 
 def count_cnot_pairs(circuit: EcCircuit) -> int:
@@ -583,7 +584,7 @@ class Simulator:
             sig = distinct[case]
             violations.append(
                 f"single fault with residual (x={sig.x_res:#x}, z={sig.z_res:#x}) "
-                f"causes logical fault {TrialResult(True, ax, az).afflicted}"
+                f"causes logical fault {_afflicted(ax, az)}"
             )
         # (iii) modified second criterion
         inputs = sorted({
@@ -614,7 +615,7 @@ class Simulator:
         ends = np.stack([kernel.unit(out, []), out], axis=1).reshape(-1, kernel.words)
         failed = np.flatnonzero(kernel.fails(ends))
         violations = [
-            f"single fault in unit {lane % 2 + 1} fails: {TrialResult(True, ax, az).afflicted}"
+            f"single fault in unit {lane % 2 + 1} fails: {_afflicted(ax, az)}"
             for lane, (ax, az) in zip(failed, kernel.afflicted(ends[failed]))
         ]
         return ExRecSweepReport(2 * len(distinct), violations)
@@ -646,6 +647,8 @@ class Simulator:
         Trials are partitioned into fixed-size batches, each with its own
         counter-based random stream, so results are reproducible bit-exactly
         for a given seed and trial count, independent of thread count.
+        Trials with at most one fault are drawn but not run while
+        ``_few_faults_pass`` proves that they pass, so counts are unchanged.
         """
         if mode not in ("exrec", "single"):
             raise ValueError("mode must be 'exrec' or 'single'")
@@ -656,6 +659,7 @@ class Simulator:
             threads = os.cpu_count() or 1
         if threads < 1:
             raise ValueError("threads must be >= 1")
+        self._few_faults_pass()  # before any fork, so that workers inherit it
         out = []
         for point_idx, p in enumerate(ps):
             noise = NoiseModel(p)
@@ -736,12 +740,32 @@ class Simulator:
         return TrialResult(False, (), (), 3 * units)
 
     def _exrec_batch(self, noise, units, seed, point_idx, batch_idx, n_trials) -> int:
-        """Failures in one batch of exRec (or single-EC) trials, on its own stream."""
+        """Failures in one batch of exRec (or single-EC) trials, on its own stream.
+        All units' faults are drawn first (``unit`` reads no random numbers); while
+        ``_few_faults_pass``, only the lanes with two or more faults then run."""
         rng = fault_stream(seed, point_idx, units, batch_idx)
+        draws = [self.kernel.sample(rng, noise, n_trials) for _ in range(units)]
+        if self._few_faults_pass():
+            lanes = np.concatenate([lane for atoms in draws for lane, _row in atoms])
+            keep = np.bincount(lanes, minlength=n_trials) >= 2
+            kept = np.cumsum(keep) - 1
+            draws = [[(kept[lane[k]], row[k]) for lane, row in atoms for k in [keep[lane]]]
+                     for atoms in draws]
+            n_trials = int(keep.sum())
         res = self.kernel.zeros(n_trials)
-        for _ in range(units):
-            res = self.kernel.unit(res, self.kernel.sample(rng, noise, n_trials))
+        for atoms in draws:
+            res = self.kernel.unit(res, atoms)
         return int(self.kernel.fails(res).sum())
+
+    def _few_faults_pass(self) -> bool:
+        """No trial with at most one fault fails: a fault-free unit leaves residual 0,
+        and no single fault fails the exRec sweep, whose unit-2 lanes are the one-fault
+        single-unit trials. Kept with its kernel: a copy with its own kernel recomputes."""
+        kernel, memo = self.kernel, self.__dict__.get("_few_faults_memo")
+        if memo is None or memo[0] is not kernel:
+            ok = not kernel.decide(kernel.zeros(1)).any() and self.verify_exrec_single_faults().ok
+            memo = self._few_faults_memo = (kernel, ok)
+        return memo[1]
 
 
 def _join_cycles(lengths: np.ndarray, failed: np.ndarray, cap: int, carried: int, wanted: int):

@@ -271,30 +271,46 @@ def format_schedule(schedule: CnotSchedule) -> str:
 
 
 def parse_schedule(text: str) -> CnotSchedule:
-    mode = None
-    steps = None
+    """Parse the schedule file format; a malformed line raises ScheduleError
+    naming it. ``steps`` may not pass the last CNOT step, so a file cannot
+    make the EC circuit idle for steps that no CNOT uses."""
+    mode = steps = None
     cnots = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "mode":
-            mode = parts[1]
-        elif parts[0] == "steps":
-            steps = int(parts[1])
-        elif parts[0] == "cnot":
-            if len(parts) != 5:
+        directive, *args = line.split()
+        if directive == "mode":
+            if len(args) != 1:
+                raise ScheduleError(f"line {line_no}: expected 'mode separate|interleaved'")
+            mode = args[0]
+        elif directive == "steps":
+            if len(args) != 1:
+                raise ScheduleError(f"line {line_no}: expected 'steps m'")
+            steps, steps_line = _integers(line_no, args)[0], line_no
+        elif directive == "cnot":
+            if len(args) != 4:
                 raise ScheduleError(f"line {line_no}: expected 'cnot t kind row qubit'")
-            step, kind, row, qubit = int(parts[1]), parts[2], int(parts[3]), int(parts[4])
-            if kind not in ("X", "Z"):
+            step, row, qubit = _integers(line_no, [args[0], *args[2:]])
+            if args[1] not in ("X", "Z"):
                 raise ScheduleError(f"line {line_no}: kind must be X or Z")
-            cnots.append((step, kind, row, qubit))
+            cnots.append((step, args[1], row, qubit))
         else:
-            raise ScheduleError(f"line {line_no}: unknown directive {parts[0]!r}")
+            raise ScheduleError(f"line {line_no}: unknown directive {directive!r}")
     if mode is None or steps is None:
         raise ScheduleError("schedule file needs 'mode' and 'steps' headers")
+    last = max((cnot[0] for cnot in cnots), default=0)
+    if steps > last:
+        raise ScheduleError(f"line {steps_line}: steps {steps} is past the last CNOT step {last}")
     return CnotSchedule(mode=mode, steps=steps, cnots=tuple(sorted(cnots)))
+
+
+def _integers(line_no: int, fields: list[str]) -> list[int]:
+    """The fields as non-negative integers; any other field raises ScheduleError."""
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise ScheduleError(f"line {line_no}: expected non-negative integers, got {fields}")
+    return [int(f) for f in fields]
 
 
 def load_schedule(path: str | Path) -> CnotSchedule:

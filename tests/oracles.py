@@ -231,6 +231,21 @@ def scalar_decode(sim, x: int, z: int, rounds: int | None = None) -> TrialResult
     return TrialResult(bool(ax or az), ax, az, rounds)
 
 
+def union_afflicted(res: TrialResult) -> tuple[int, ...]:
+    """The logical qubits a trial leaves with an X-type or a Z-type fault."""
+    return tuple(sorted(set(res.afflicted_x) | set(res.afflicted_z)))
+
+
+def all_lanes_batch(sim, noise, units, seed, point_idx, batch_idx, n_trials) -> int:
+    """``Simulator._exrec_batch`` with every lane run through every unit,
+    each unit's faults drawn just before it runs."""
+    rng = fault_stream(seed, point_idx, units, batch_idx)
+    res = sim.kernel.zeros(n_trials)
+    for _ in range(units):
+        res = sim.kernel.unit(res, sim.kernel.sample(rng, noise, n_trials))
+    return int(sim.kernel.fails(res).sum())
+
+
 def run_exrec_trial(sim, noise: NoiseModel, seed: int) -> TrialResult:
     """One exRec: two consecutive EC units with independently sampled
     faults, then ideal decoding of the final residual."""
@@ -296,7 +311,7 @@ def scalar_condition1(sim):
         if res.failed:
             violations.append(
                 f"single fault with residual (x={sig.x_res:#x}, z={sig.z_res:#x}) "
-                f"causes logical fault {res.afflicted}"
+                f"causes logical fault {union_afflicted(res)}"
             )
     full_hx = sim.code.hx.rows
     full_hz = sim.code.hz.rows
@@ -334,7 +349,9 @@ def scalar_exrec_sweep(sim):
             cases += 1
             res = scalar_decode(sim, x2, z2)
             if res.failed:
-                violations.append(f"single fault in unit {unit_index + 1} fails: {res.afflicted}")
+                violations.append(
+                    f"single fault in unit {unit_index + 1} fails: {union_afflicted(res)}"
+                )
     return ExRecSweepReport(cases, violations)
 
 

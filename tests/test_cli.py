@@ -102,6 +102,26 @@ class TestSchedule:
         assert res.exit_code == 1
         assert "unique syndromes: FAIL" in res.output
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("mode separate", "mode", 1),
+        ("steps 10", "steps", 2),
+        ("steps 10", "steps ten", 2),
+        ("cnot 1 X 0 0", "cnot 1 X 0 zero", 3),
+        ("steps 10", "steps 99999999999", 2),
+    ])
+    def test_malformed_schedule_names_line(self, runner, tmp_path, old, new, line):
+        # a usage error, never a traceback or an EC circuit past the last CNOT
+        from starqec.faulttol import builtin_schedule
+        from starqec.scheduling import format_schedule
+
+        text = format_schedule(builtin_schedule("ssd"))
+        assert text.splitlines()[line - 1].startswith(old)
+        path = tmp_path / "bad.sched"
+        path.write_text(text.replace(old, new, 1))
+        res = runner.invoke(main, ["schedule", "verify", "--code", "ssd", "--schedule", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"line {line}: " in res.output
+
 
 class TestDecoder:
     def test_build_writes_tables(self, runner, tmp_path):

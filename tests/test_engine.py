@@ -20,7 +20,8 @@ from starqec.circuits import (
     fault_stream,
 )
 from starqec import engine
-from starqec.codes import CssCode
+from starqec.codes import CssCode, code_from_complex
+from starqec.complexes import parse_complex
 from starqec.engine import (
     _CATEGORIES,
     EcKernel,
@@ -39,12 +40,14 @@ from starqec.engine import (
     wilson_interval,
     write_results_csv,
 )
-from starqec.faulttol import enumerate_single_fault_errors
+from starqec.faulttol import enumerate_single_fault_errors, find_fault_tolerant_schedule
 from starqec.frames import FaultSig, PauliFrame
 from starqec.gf2 import BitMatrix, RowSpace
 from starqec.scheduling import CnotSchedule
 
+from conftest import toric_cplx
 from oracles import (
+    all_lanes_batch,
     faults_to_sigs,
     lane_exact_c,
     run_ec_unit,
@@ -408,12 +411,19 @@ def with_table_entry(sim, kind, syndrome, error):
 
 def case_sim(case, ssd_sim, s17_sim, ssd_code):
     """The simulator a test case names: a built-in code, Surface-17 with
-    ``bad_syndrome_sim``'s table, or SSD with a ``corrupted_sim`` X or Z table."""
+    ``bad_syndrome_sim``'s table, SSD with a ``corrupted_sim`` X or Z table,
+    or a built-in code whose X table corrects syndrome 0 with X on qubit 0
+    ("-x0") or with an X stabilizer ("-stab0")."""
+    sim = ssd_sim if case.startswith("ssd") else s17_sim
     if case.startswith("ssd-bad"):
         return corrupted_sim(ssd_sim, ssd_code, case[-1].upper())
     if case == "surface17-bad-syndrome":
         return bad_syndrome_sim(s17_sim)
-    return ssd_sim if case == "ssd" else s17_sim
+    if case.endswith("-x0"):
+        return with_table_entry(sim, "X", 0, 1)
+    if case.endswith("-stab0"):
+        return with_table_entry(sim, "X", 0, sim.code.hx.rows[0])
+    return sim
 
 
 def bad_syndrome_sim(s17_sim):
@@ -590,6 +600,127 @@ class TestTrials:
         a = fit_quadratic(s17_sim.estimate_pl([3e-4], 400_000, seed=21))
         b = fit_quadratic(s17_sim.estimate_pl([1e-3], 400_000, seed=22))
         assert a.c_ci[0] <= b.c_ci[1] and b.c_ci[0] <= a.c_ci[1]
+
+
+# estimate_pl([3e-4, 1e-3, 3e-3], 50_000, seed=7, mode=...) failure counts
+# with every lane run through every unit
+PINNED_COUNTS = {
+    ("surface17", "exrec"): [19, 208, 1654],
+    ("surface17", "single"): [10, 84, 733],
+    ("ssd", "exrec"): [262, 2413, 15670],
+    ("ssd", "single"): [95, 1128, 7335],
+}
+# (seed, p, batch index, trials) of the batches compared with the oracle
+ORACLE_BATCHES = [(1, 3e-4, 0, 8192), (2, 1e-3, 3, 5000), (3, 3e-3, 1, 777),
+                  (4, 2e-2, 0, 300), (5, 1e-7, 2, 64)]
+
+
+def unit_lane_counts(monkeypatch, sim) -> list[int]:
+    """The lanes of each ``unit`` that ``sim``'s kernel runs from now on."""
+    seen, unit = [], sim.kernel.unit
+
+    def counting(res, atoms):
+        seen.append(len(res))
+        return unit(res, atoms)
+
+    monkeypatch.setattr(sim.kernel, "unit", counting)
+    return seen
+
+
+class TestLaneElision:
+    @pytest.mark.parametrize("code, mode", list(PINNED_COUNTS))
+    def test_pinned_counts_thread_invariant(self, code, mode, ssd_sim, s17_sim):
+        sim = ssd_sim if code == "ssd" else s17_sim
+        for threads in (1, 2):
+            points = sim.estimate_pl([3e-4, 1e-3, 3e-3], 50_000, 7, mode=mode, threads=threads)
+            assert [pt.failures for pt in points] == PINNED_COUNTS[code, mode]
+
+    @pytest.mark.parametrize("case", [
+        "surface17", "ssd", "surface17-bad-syndrome", "ssd-bad-x", "ssd-bad-z",
+        "surface17-x0", "ssd-x0", "surface17-stab0",
+    ])
+    def test_batches_match_all_lanes_oracle(self, case, ssd_sim, s17_sim, ssd_code):
+        sim = case_sim(case, ssd_sim, s17_sim, ssd_code)
+        assert sim._few_faults_pass() == (case in ("surface17", "ssd"))
+        failures = 0
+        for units in (1, 2):
+            for seed, p, batch_idx, n in ORACLE_BATCHES:
+                args = (NoiseModel(p), units, seed, 0, batch_idx, n)
+                got = sim._exrec_batch(*args)
+                assert got == all_lanes_batch(sim, *args), (units, seed, p)
+                failures += got
+        assert failures > 0
+
+    @pytest.mark.parametrize("case", ["surface17-bad-syndrome", "ssd-bad-z", "ssd-x0",
+                                      "surface17-stab0"])
+    def test_closed_gate_runs_every_lane(self, case, ssd_sim, s17_sim, ssd_code, monkeypatch):
+        sim = case_sim(case, ssd_sim, s17_sim, ssd_code)
+        assert not sim._few_faults_pass()
+        if case.endswith("stab0"):  # closed by the fault-free unit alone
+            assert sim.verify_exrec_single_faults().ok
+        lanes = unit_lane_counts(monkeypatch, sim)
+        sim.estimate_pl([1e-3], 3000, 9, batch_size=2048)
+        assert lanes == [2048, 2048, 952, 952]
+
+    @pytest.mark.parametrize("units", [1, 2])
+    def test_open_gate_runs_lanes_with_two_faults(self, units, ssd_sim, monkeypatch):
+        noise, args = NoiseModel(1e-3), (units, 4, 0, 0, 8192)
+        rng = fault_stream(4, 0, units, 0)
+        draws = [ssd_sim.kernel.sample(rng, noise, 8192) for _ in range(units)]
+        faults = np.bincount(np.concatenate([lane for a in draws for lane, _ in a]),
+                             minlength=8192)
+        lanes = unit_lane_counts(monkeypatch, ssd_sim)
+        ssd_sim._exrec_batch(noise, *args)
+        assert lanes == [int((faults >= 2).sum())] * units
+        assert 0 < lanes[0] < 8192 // 2
+
+    def test_gate_computed_lazily_once_per_kernel(self, monkeypatch):
+        sim = Simulator.for_builtin("surface17")
+        assert "_few_faults_memo" not in vars(sim)
+        sweeps = []
+        sweep = Simulator.verify_exrec_single_faults
+        monkeypatch.setattr(Simulator, "verify_exrec_single_faults",
+                            lambda self: sweeps.append(self) or sweep(self))
+        forked = engine._parallel_failures
+
+        def parallel(sim, *args):
+            # computed before the pool forks, so every worker inherits it
+            assert "_few_faults_memo" in vars(sim)
+            return forked(sim, *args)
+
+        monkeypatch.setattr(engine, "_parallel_failures", parallel)
+        sim.estimate_pl([1e-3], 2 * 4096, 3, threads=2, batch_size=4096)
+        sim.estimate_pl([1e-3, 3e-3], 4096, 3, mode="single")
+        assert sweeps == [sim]
+        # a copy with its own tables and kernel computes its own gate,
+        # though it copies the parent's memoized one
+        broken = bad_syndrome_sim(sim)
+        assert "_few_faults_memo" in vars(broken)
+        assert not broken._few_faults_pass() and sim._few_faults_pass()
+        assert sweeps == [sim, broken]
+        args = (NoiseModel(3e-3), 2, 3, 0, 0, 4096)
+        assert broken._exrec_batch(*args) == all_lanes_batch(broken, *args)
+
+
+class TestToricPipeline:
+    def test_three_by_three_torus(self):
+        # the [[18,2,3]] toric code from its complex file: schedule search,
+        # exhaustive verification, exact c and the elided Monte Carlo
+        code = code_from_complex(parse_complex(toric_cplx(3, 3)))
+        assert (code.n, len(code.logical_x)) == (18, 2)
+        sim = Simulator(code, find_fault_tolerant_schedule(code).schedule)
+        report = sim.verify()
+        assert report.ok
+        assert report.exrec_sweep.cases == 3016
+        assert exact_c_parts(sim).c == pytest.approx(lane_exact_c(sim), rel=1e-12, abs=0)
+        assert sim._few_faults_pass()
+        for units, mode in ((2, "exrec"), (1, "single")):
+            points = sim.estimate_pl([1e-3, 3e-3], 3 * 4096, 5, mode=mode, batch_size=4096)
+            for point_idx, pt in enumerate(points):
+                noise = NoiseModel(pt.p)
+                want = sum(all_lanes_batch(sim, noise, units, 5, point_idx, b, 4096)
+                           for b in range(3))
+                assert pt.failures == want > 0
 
 
 class TestLifetime:

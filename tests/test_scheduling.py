@@ -192,6 +192,21 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             parse_schedule("mode separate\nsteps 2\nbogus\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("mode\nsteps 1\ncnot 1 X 0 0\n", 1),
+        ("mode separate\nsteps\ncnot 1 X 0 0\n", 2),
+        ("mode separate\nsteps one\ncnot 1 X 0 0\n", 2),
+        ("mode separate\nsteps -1\n", 2),
+        ("mode separate\nsteps 1\ncnot 1 X 0 q0\n", 3),
+        ("mode separate\nsteps 1\ncnot 1.0 X 0 0\n", 3),
+        # idle steps past the last CNOT: refused before any circuit is built
+        ("mode separate\n# comment\nsteps 99999999999\ncnot 1 X 0 0\n", 3),
+        ("mode separate\nsteps 2\ncnot 1 X 0 0\n", 2),
+    ])
+    def test_malformed_line_is_named(self, text, line):
+        with pytest.raises(ScheduleError, match=f"^line {line}: "):
+            parse_schedule(text)
+
 
 class TestProperness:
     def test_separate_schedules_automatically_proper(self, ssd_code, s17_code):
