@@ -13,21 +13,15 @@ from .codes import (
 )
 from .complexes import CellComplex2D, load_complex, parse_complex
 from .decoder import LookupTable, build_lookup_table, ec_decision
-from .engine import (
-    Simulator,
-    TrialResult,
-    count_cnot_pairs,
-    fit_quadratic,
-    m_copy_failure,
-)
+from .engine import Simulator, TrialResult, count_cnot_pairs
 from .faulttol import (
     builtin_schedule,
     enumerate_single_fault_errors,
     find_fault_tolerant_schedule,
     verify_unique_syndromes,
 )
-from .frames import PauliFrame, propagate
 from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec, rank, symplectic_product
+from .results import fit_quadratic, m_copy_failure
 from .scheduling import (
     CnotSchedule,
     build_check_graph,

@@ -7,27 +7,17 @@ import json
 import os
 import sys
 import time
+from functools import partial, wraps
 from pathlib import Path
 
 import click
 
 from .circuits import NoiseModel, build_ec_circuit
 from .codes import CssCode, code_from_complex, distance_upto, get_builtin_code, verify_logical_basis
-from .complexes import ComplexFormatError, load_complex
+from .complexes import load_complex
 from .decoder import DecoderBuildError, build_tables, format_table
-from .engine import (
-    FitError,
-    ResultRow,
-    Simulator,
-    count_cnot_pairs,
-    exact_c_parts,
-    fit_quadratic,
-    m_copy_failure,
-    read_results_csv,
-    write_lifetime_csv,
-    write_results_csv,
-    PointEstimate,
-)
+from .engine import Simulator, count_cnot_pairs
+from .exact import exact_c_parts
 from .faulttol import (
     ScheduleSearchError,
     builtin_schedule,
@@ -36,6 +26,16 @@ from .faulttol import (
     verify_unique_syndromes,
 )
 from .gf2 import rank
+from .results import (
+    FitError,
+    PointEstimate,
+    ResultRow,
+    fit_quadratic,
+    m_copy_failure,
+    read_results_csv,
+    write_lifetime_csv,
+    write_results_csv,
+)
 from .scheduling import CnotSchedule, load_schedule, save_schedule, verify_properness
 
 EXIT_VERIFICATION_FAILURE = 1
@@ -82,9 +82,7 @@ def _resolve_code(code_name: str | None, complex_file: str | None) -> CssCode:
             raise click.UsageError(f"complex file not found: {path}")
         try:
             return code_from_complex(load_complex(path))
-        except ComplexFormatError as exc:
-            raise click.UsageError(f"bad complex file {path}: {exc}") from None
-        except ValueError as exc:
+        except ValueError as exc:  # includes ComplexFormatError
             raise click.UsageError(f"bad complex file {path}: {exc}") from None
     if code_name is None:
         raise click.UsageError("specify --code or --complex-file")
@@ -101,12 +99,32 @@ def _load_schedule(code: CssCode, schedule_path: str) -> CnotSchedule:
     return schedule
 
 
-def _resolve_schedule(code: CssCode, code_name: str | None, schedule_path: str | None, retries: int):
+def _resolve(code_name, complex_file, schedule_path, retries) -> tuple[CssCode, CnotSchedule]:
+    """The code, with the schedule file's schedule, the built-in one, or one
+    found by search."""
+    code = _resolve_code(code_name, complex_file)
     if schedule_path is not None:
-        return _load_schedule(code, schedule_path)
+        return code, _load_schedule(code, schedule_path)
     if code_name is not None:
-        return builtin_schedule(code_name)
-    return find_fault_tolerant_schedule(code, retries=retries).schedule
+        return code, builtin_schedule(code_name)
+    return code, find_fault_tolerant_schedule(code, retries=retries).schedule
+
+
+def _schedule_options(f):
+    """The code options, ``--schedule`` and ``--retries``, passed to the
+    command as ``source``: a call that ``_resolve``s them when the command
+    is ready. ``--retries`` is listed after the command's own options but
+    before ``--single-unit`` and ``--out``."""
+
+    @wraps(f)
+    def command(code_name, complex_file, schedule_path, retries, **kwargs):
+        return f(partial(_resolve, code_name, complex_file, schedule_path, retries), **kwargs)
+
+    click.option("--retries", default=1000, show_default=True)(command)
+    params = command.__click_params__  # in reverse order of listing
+    params.insert(sum(p.name in ("out", "single_unit") for p in params), params.pop())
+    click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)(command)
+    return _code_options(command)
 
 
 def _with_decoder(build, *args):
@@ -186,12 +204,7 @@ def schedule_build(code_name, complex_file, mode, retries, out):
         except ScheduleSearchError as exc:
             click.echo(f"search failed: {exc}")
             sys.exit(EXIT_VERIFICATION_FAILURE)
-        save_schedule(res.schedule, out_path)
-        click.echo(f"schedule: {out_path}")
-        click.echo(f"steps: {res.schedule.steps} (T = {res.schedule.steps + 2})")
-        click.echo(f"colors: {res.colors_x} X + {res.colors_z} Z")
-        click.echo("properness: ok")
-        click.echo("unique syndromes: ok")
+        colors = [f"colors: {res.colors_x} X + {res.colors_z} Z"]
     else:
         res = find_interleaved_schedule(c, retries=min(retries, 200))
         if res.schedule is None:
@@ -201,11 +214,11 @@ def schedule_build(code_name, complex_file, mode, retries, out):
                 "verified option"
             )
             sys.exit(EXIT_VERIFICATION_FAILURE)
-        save_schedule(res.schedule, out_path)
-        click.echo(f"schedule: {out_path}")
-        click.echo(f"steps: {res.schedule.steps} (T = {res.schedule.steps + 2})")
-        click.echo("properness: ok")
-        click.echo("unique syndromes: ok")
+        colors = []
+    save_schedule(res.schedule, out_path)
+    for line in [f"schedule: {out_path}", f"steps: {res.schedule.steps} (T = {res.schedule.steps + 2})",
+                 *colors, "properness: ok", "unique syndromes: ok"]:
+        click.echo(line)
 
 
 @schedule.command("verify")
@@ -238,14 +251,11 @@ def decoder():
 
 
 @decoder.command("build")
-@_code_options
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
-@click.option("--retries", default=1000, show_default=True)
+@_schedule_options
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-def decoder_build(code_name, complex_file, schedule_path, retries, out):
+def decoder_build(source, out):
     """Build the X- and Z-error lookup tables and write their dumps."""
-    c = _resolve_code(code_name, complex_file)
-    sched = _resolve_schedule(c, code_name, schedule_path, retries)
+    c, sched = source()
     tables = _with_decoder(build_tables, build_ec_circuit(c, sched, rounds=1))
     out_dir = Path(out) if out else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,15 +267,12 @@ def decoder_build(code_name, complex_file, schedule_path, retries, out):
 
 
 @decoder.command("dump")
-@_code_options
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
+@_schedule_options
 @click.option("--kind", type=click.Choice(["X", "Z"]), default="Z", show_default=True)
-@click.option("--retries", default=1000, show_default=True)
 @_out_option("Table file to write (stdout by default).")
-def decoder_dump(code_name, complex_file, schedule_path, kind, retries, out):
+def decoder_dump(source, kind, out):
     """Write one lookup table as text (stdout by default)."""
-    c = _resolve_code(code_name, complex_file)
-    sched = _resolve_schedule(c, code_name, schedule_path, retries)
+    c, sched = source()
     tables = _with_decoder(build_tables, build_ec_circuit(c, sched, rounds=1))
     text = format_table(tables[kind])
     if out:
@@ -278,9 +285,8 @@ def decoder_dump(code_name, complex_file, schedule_path, kind, retries, out):
 # --- sim ----------------------------------------------------------------
 
 
-def _simulator(code_name, complex_file, schedule_path, retries) -> tuple[CssCode, Simulator]:
-    c = _resolve_code(code_name, complex_file)
-    sched = _resolve_schedule(c, code_name, schedule_path, retries)
+def _simulator(source) -> tuple[CssCode, Simulator]:
+    c, sched = source()
     return c, _with_decoder(Simulator, c, sched)
 
 
@@ -290,12 +296,10 @@ def sim():
 
 
 @sim.command("verify")
-@_code_options
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
-@click.option("--retries", default=1000, show_default=True)
-def sim_verify(code_name, complex_file, schedule_path, retries):
+@_schedule_options
+def sim_verify(source):
     """Exhaustive fault-tolerance verification of the EC unit and exRec."""
-    c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
+    c, simulator = _simulator(source)
     report = simulator.verify()
     click.echo(f"properness: {'ok' if report.properness_ok else 'FAIL'}")
     click.echo(f"unique syndromes: {'ok' if report.uniqueness_ok else 'FAIL'}")
@@ -318,13 +322,11 @@ def sim_verify(code_name, complex_file, schedule_path, retries):
 
 
 @sim.command("exact")
-@_code_options
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
-@click.option("--retries", default=1000, show_default=True)
-def sim_exact(code_name, complex_file, schedule_path, retries):
+@_schedule_options
+def sim_exact(source):
     """Exact leading coefficient c of the exRec failure rate, p_L = c p^2 + O(p^3),
     from every pair of faults, with its split by error type; prints JSON."""
-    c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
+    c, simulator = _simulator(source)
     t0 = time.perf_counter()
     parts = exact_c_parts(simulator)
     wall_s = time.perf_counter() - t0
@@ -361,24 +363,21 @@ def _check_ps(ps) -> None:
 
 
 @sim.command("exrec")
-@_code_options
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
+@_schedule_options
 @_p_option
 @click.option("--trials", default=100_000, show_default=True)
 @click.option("--seed", default=12345, show_default=True)
 @click.option("--threads", default=None, type=int, help="Worker processes (default: all cores).")
-@click.option("--retries", default=1000, show_default=True)
 @click.option("--single-unit", is_flag=True, help="Simulate one EC unit instead of the exRec.")
 @_out_option("Results CSV path.", default_in_outdir=True)
-def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads, retries,
-              single_unit, out):
+def sim_exrec(source, ps, trials, seed, threads, single_unit, out):
     """Estimate the logical failure rate of the exRec (or a single EC unit)."""
     _check_ps(ps)
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     if threads is not None and threads < 1:
         raise click.UsageError("--threads must be >= 1")
-    c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
+    c, simulator = _simulator(source)
     mode = "single" if single_unit else "exrec"
     points = simulator.estimate_pl(list(ps), trials, seed, mode=mode, threads=threads)
     rows = []
@@ -395,23 +394,20 @@ def sim_exrec(code_name, complex_file, schedule_path, ps, trials, seed, threads,
 
 
 @sim.command("lifetime")
-@_code_options
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
+@_schedule_options
 @_p_option
 @click.option("--trials", default=1000, show_default=True, help="Trajectories.")
 @click.option("--rounds-max", default=30000, show_default=True)
 @click.option("--seed", default=12345, show_default=True)
-@click.option("--retries", default=1000, show_default=True)
 @_out_option("Results CSV path.", default_in_outdir=True)
-def sim_lifetime(code_name, complex_file, schedule_path, ps, trials, rounds_max, seed,
-                 retries, out):
+def sim_lifetime(source, ps, trials, rounds_max, seed, out):
     """Mean EC rounds an encoded memory survives, carrying residuals forward."""
     _check_ps(ps)
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     if rounds_max < 3:
         raise click.UsageError("--rounds-max must be >= 3")
-    c, simulator = _simulator(code_name, complex_file, schedule_path, retries)
+    c, simulator = _simulator(source)
     summaries = []
     for p in ps:
         summary = simulator.estimate_lifetime(NoiseModel(p), trials, seed, rounds_max)

@@ -7,11 +7,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .complexes import (
-    CellComplex2D,
-    icosahedron_triangles,
-    small_stellated_dodecahedron_complex,
-)
+from .complexes import CellComplex2D, small_stellated_dodecahedron_complex
 from .gf2 import BitMatrix, BitVector, RowSpace, kernel_basis, mat_vec, rank, symplectic_product
 
 
@@ -220,28 +216,6 @@ def builtin_ssd() -> CssCode:
         name="ssd",
         complex=c,
     )
-
-
-def ssd_triangle_logicals(code: CssCode, around_vertex: int | None = None) -> list[BitVector]:
-    """Triangular logical Z operators of the SSD code.
-
-    Every icosahedron triangle is a logical Z; with ``around_vertex`` set,
-    only the five triangles containing that vertex are returned (their
-    product equals that vertex's Z-check).
-    """
-    c = code.complex
-    assert c is not None
-    tris = icosahedron_triangles()
-    if around_vertex is not None:
-        tris = [t for t in tris if around_vertex in t]
-    out = []
-    for a, b, d in tris:
-        out.append(
-            BitVector.from_support(
-                code.n, [c.edge_index(a, b), c.edge_index(a, d), c.edge_index(b, d)]
-            )
-        )
-    return out
 
 
 # Surface-17 (rotated distance-3 surface code) on a 3x3 data-qubit grid,

@@ -22,6 +22,18 @@ class ComplexFormatError(ValueError):
         self.line_no = line_no
 
 
+def _face_problem(face: tuple[int, ...], edge_count: int) -> str | None:
+    """Why ``face`` cannot be a face of a complex with ``edge_count`` edges, or None."""
+    if len(face) < 3:
+        return "every face needs at least 3 edges"
+    bad = [e for e in face if not 0 <= e < edge_count]
+    if bad:
+        return f"face references invalid edge index {bad[0]}"
+    if len(set(face)) != len(face):
+        return "face repeats an edge"
+    return None
+
+
 @dataclass(frozen=True)
 class CellComplex2D:
     """A 2-complex: qubits live on edges, X-checks on vertices, Z-checks on faces."""
@@ -47,13 +59,9 @@ class CellComplex2D:
             seen.add((u, v))
             prev = (u, v)
         for face in self.faces:
-            if len(face) < 3:
-                raise ValueError("every face needs at least 3 edges")
-            for e in face:
-                if not 0 <= e < len(self.edges):
-                    raise ValueError(f"face references invalid edge index {e}")
-            if len(set(face)) != len(face):
-                raise ValueError("face repeats an edge")
+            problem = _face_problem(face, len(self.edges))
+            if problem:
+                raise ValueError(problem)
 
     @property
     def edge_count(self) -> int:
@@ -109,10 +117,11 @@ def build_complex(
 
 
 def parse_complex(text: str, name: str = "") -> CellComplex2D:
-    """Parse the complex file format; raises ComplexFormatError with a line number."""
+    """Parse the complex file format; raises ComplexFormatError naming the
+    line at fault."""
     vertex_count = None
-    edges: list[tuple[int, int]] = []
-    faces: list[list[int]] = []
+    edges: set[tuple[int, int]] = set()
+    faces: list[tuple[int, tuple[int, ...]]] = []  # (line number, edge indices)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,7 +131,7 @@ def parse_complex(text: str, name: str = "") -> CellComplex2D:
         if kind == "vertices":
             if vertex_count is not None:
                 raise ComplexFormatError(line_no, "duplicate vertices header")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise ComplexFormatError(line_no, "expected: vertices N")
             vertex_count = int(args[0])
         elif kind == "edge":
@@ -138,43 +147,32 @@ def parse_complex(text: str, name: str = "") -> CellComplex2D:
                 raise ComplexFormatError(line_no, "self-loop edge")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ComplexFormatError(line_no, "edge endpoint out of range")
-            edges.append((min(u, v), max(u, v)))
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
+                raise ComplexFormatError(line_no, "duplicate edge ({},{})".format(*edge))
+            edges.add(edge)
         elif kind == "face":
             if len(args) < 3:
                 raise ComplexFormatError(line_no, "a face needs at least 3 edge indices")
             try:
-                faces.append([int(a) for a in args])
+                faces.append((line_no, tuple(int(a) for a in args)))
             except ValueError:
                 raise ComplexFormatError(line_no, "face entries must be integers") from None
         else:
             raise ComplexFormatError(line_no, f"unknown directive {kind!r}")
     if vertex_count is None:
         raise ComplexFormatError(1, "missing vertices header")
-    # Face lines index canonical (sorted) edge order; the complex itself
-    # rejects duplicate edges and out-of-range face entries.
-    try:
-        return CellComplex2D(
-            vertex_count, tuple(sorted(edges)), tuple(tuple(f) for f in faces), name=name
-        )
-    except ValueError as exc:
-        raise ComplexFormatError(1, str(exc)) from None
+    # Face lines index canonical (sorted) edge order, known once every edge is read.
+    for line_no, face in faces:
+        problem = _face_problem(face, len(edges))
+        if problem:
+            raise ComplexFormatError(line_no, problem)
+    return CellComplex2D(vertex_count, tuple(sorted(edges)), tuple(f for _l, f in faces), name=name)
 
 
 def load_complex(path: str | Path) -> CellComplex2D:
     path = Path(path)
     return parse_complex(path.read_text(), name=path.stem)
-
-
-def format_complex(c: CellComplex2D) -> str:
-    lines = []
-    if c.name:
-        lines.append(f"# {c.name}")
-    lines.append(f"vertices {c.vertex_count}")
-    for u, v in c.edges:
-        lines.append(f"edge {u} {v}")
-    for face in c.faces:
-        lines.append("face " + " ".join(str(e) for e in face))
-    return "\n".join(lines) + "\n"
 
 
 # Icosahedron adjacency with vertex labels 0..11 chosen so that vertex 0's
@@ -227,13 +225,3 @@ def small_stellated_dodecahedron_complex() -> CellComplex2D:
         schlafli="{5/2,5}",
     )
 
-
-def icosahedron_triangles() -> list[tuple[int, int, int]]:
-    """All 20 triangles of the icosahedron, as sorted vertex triples."""
-    tris = set()
-    for u, nbrs in ICOSAHEDRON_NEIGHBORS.items():
-        for v in nbrs:
-            for w in nbrs:
-                if v < w and w in ICOSAHEDRON_NEIGHBORS[v]:
-                    tris.add(tuple(sorted((u, v, w))))
-    return sorted(tris)  # type: ignore[arg-type]

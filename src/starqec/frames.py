@@ -36,14 +36,6 @@ def detector_rows(circuit: EcCircuit, kind: str) -> tuple[int, ...]:
     return tuple(circuit.code.hx.rows[j] for j in circuit.measured_x_rows)
 
 
-@dataclass
-class PauliFrame:
-    """Accumulated error components; bit q of ``x``/``z`` is an X/Z on qubit q."""
-
-    x: int = 0
-    z: int = 0
-
-
 @dataclass(frozen=True, slots=True)  # slots: a Simulator keeps about 11k of these
 class FaultSig:
     """Effect of a single fault propagated to the end of the circuit:
@@ -57,13 +49,6 @@ class FaultSig:
     @property
     def is_trivial(self) -> bool:
         return not (self.x_res or self.z_res or any(self.x_syn) or any(self.z_syn))
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    frame: PauliFrame
-    x_syndromes: tuple[int, ...]  # per round, from MeasZ outcomes
-    z_syndromes: tuple[int, ...]  # per round, from MeasX outcomes
 
 
 @memoized_on_circuit
@@ -131,47 +116,19 @@ def fault_injection(loc: Location, value: int) -> tuple[int, int]:
     raise ValueError(f"{loc.kind} faults act on the outcome, not the frame")
 
 
-def _inject(circuit: EcCircuit, loc: Location, value: int, x_syn, z_syn) -> tuple[int, int]:
-    """``fault_injection``, except that a measurement fault flips its outcome
-    in the syndromes and injects nothing."""
-    if loc.kind not in (MEAS_X, MEAS_Z):
-        return fault_injection(loc, value)
-    rnd, pos = circuit.meas_round_and_pos(loc)
-    (z_syn if loc.kind == MEAS_X else x_syn)[rnd] ^= 1 << pos
-    return 0, 0
-
-
-def propagate(
-    circuit: EcCircuit,
-    faults: list[tuple[int, int]] | dict[int, int] | None = None,
-    frame: PauliFrame | None = None,
-) -> PropagationResult:
-    """Run the full circuit over a Pauli frame from its first timestep,
-    injecting each fault after its timestep's gates, and collect the
-    per-round syndromes of both types."""
-    ops, first_after = _active_ops(circuit)
-    x, z = (frame.x, frame.z) if frame is not None else (0, 0)
-    x_syn = [0] * circuit.rounds
-    z_syn = [0] * circuit.rounds
-    done = 0
-    for loc_index, value in sorted(dict(faults or {}).items()):
-        loc = circuit.locations[loc_index]
-        x, z = _walk(ops[done : first_after[loc.t]], x, z, x_syn, z_syn)
-        done = first_after[loc.t]
-        fx, fz = _inject(circuit, loc, value, x_syn, z_syn)
-        x ^= fx
-        z ^= fz
-    x, z = _walk(ops[done:], x, z, x_syn, z_syn)
-    return PropagationResult(PauliFrame(x, z), tuple(x_syn), tuple(z_syn))
-
-
 def signature_of(circuit: EcCircuit, loc_index: int, value: int) -> FaultSig:
-    """Propagate a single fault from its location to the end of the circuit."""
+    """Propagate a single fault from its location to the end of the circuit.
+    A measurement fault flips its outcome and injects nothing."""
     loc = circuit.locations[loc_index]
     ops, first_after = _active_ops(circuit)
     x_syn = [0] * circuit.rounds
     z_syn = [0] * circuit.rounds
-    x, z = _inject(circuit, loc, value, x_syn, z_syn)
+    if loc.kind in (MEAS_X, MEAS_Z):
+        rnd, pos = circuit.meas_round_and_pos(loc)
+        (z_syn if loc.kind == MEAS_X else x_syn)[rnd] ^= 1 << pos
+        x = z = 0
+    else:
+        x, z = fault_injection(loc, value)
     x, z = _walk(ops[first_after[loc.t] :], x, z, x_syn, z_syn)
     data = circuit.data_mask
     return FaultSig(x & data, z & data, tuple(x_syn), tuple(z_syn))

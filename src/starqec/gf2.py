@@ -72,25 +72,6 @@ class BitMatrix:
                 raise ValueError("row has bits outside [0, cols)")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "BitMatrix":
-        packed = []
-        width = cols
-        for row in rows:
-            vals = list(row)
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError("ragged rows")
-            bits = 0
-            for i, v in enumerate(vals):
-                if v & 1:
-                    bits |= 1 << i
-            packed.append(bits)
-        if width is None:
-            raise ValueError("cols required for an empty matrix")
-        return cls(tuple(packed), width)
-
-    @classmethod
     def from_supports(cls, supports: Iterable[Iterable[int]], cols: int) -> "BitMatrix":
         return cls(tuple(BitVector.from_support(cols, s).bits for s in supports), cols)
 

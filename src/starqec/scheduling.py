@@ -135,6 +135,23 @@ class ScheduleError(ValueError):
     pass
 
 
+def _first_conflict(steps: int, cnots) -> tuple[int, str] | None:
+    """The index of the first (step, kind, row, qubit) CNOT that leaves [1,
+    steps], or repeats an incidence, or a qubit or a check within one step,
+    with the reason; None if there is none."""
+    seen = set()
+    for i, (step, kind, row, qubit) in enumerate(cnots):
+        if not 1 <= step <= steps:
+            return i, f"step {step} outside [1, {steps}]"
+        for key, reason in (((kind, row, qubit), "incidence ({1}{2}, q{3}) scheduled twice"),
+                            ((step, qubit), "qubit {3} busy twice in step {0}"),
+                            ((step, kind, row), "check {1}{2} busy twice in step {0}")):
+            if key in seen:
+                return i, reason.format(step, kind, row, qubit)
+            seen.add(key)
+    return None
+
+
 @dataclass(frozen=True)
 class CnotSchedule:
     """Timestep assignment of every (check, qubit) CNOT.
@@ -150,31 +167,13 @@ class CnotSchedule:
     def __post_init__(self):
         if self.mode not in ("separate", "interleaved"):
             raise ScheduleError(f"unknown mode {self.mode!r}")
-        seen = set()
-        per_step_qubits: dict[int, set[int]] = {}
-        per_step_checks: dict[int, set[tuple[str, int]]] = {}
-        for step, kind, row, qubit in self.cnots:
-            if not 1 <= step <= self.steps:
-                raise ScheduleError(f"step {step} outside [1, {self.steps}]")
-            if (kind, row, qubit) in seen:
-                raise ScheduleError(f"incidence ({kind}{row}, q{qubit}) scheduled twice")
-            seen.add((kind, row, qubit))
-            if qubit in per_step_qubits.setdefault(step, set()):
-                raise ScheduleError(f"qubit {qubit} busy twice in step {step}")
-            per_step_qubits[step].add(qubit)
-            if (kind, row) in per_step_checks.setdefault(step, set()):
-                raise ScheduleError(f"check {kind}{row} busy twice in step {step}")
-            per_step_checks[step].add((kind, row))
+        conflict = _first_conflict(self.steps, self.cnots)
+        if conflict:
+            raise ScheduleError(conflict[1])
 
     @property
     def total_timesteps(self) -> int:
         return self.steps + 2
-
-    def check_order(self, kind: str, row: int) -> list[tuple[int, int]]:
-        """(step, qubit) pairs of one check, in time order."""
-        out = [(s, q) for s, k, r, q in self.cnots if k == kind and r == row]
-        out.sort()
-        return out
 
     def step_of(self, kind: str, row: int, qubit: int) -> int:
         return self._steps[(kind, row, qubit)]
@@ -275,14 +274,14 @@ def parse_schedule(text: str) -> CnotSchedule:
     naming it. ``steps`` may not pass the last CNOT step, so a file cannot
     make the EC circuit idle for steps that no CNOT uses."""
     mode = steps = None
-    cnots = []
+    cnots, cnot_lines = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         directive, *args = line.split()
         if directive == "mode":
-            if len(args) != 1:
+            if args not in (["separate"], ["interleaved"]):
                 raise ScheduleError(f"line {line_no}: expected 'mode separate|interleaved'")
             mode = args[0]
         elif directive == "steps":
@@ -296,10 +295,14 @@ def parse_schedule(text: str) -> CnotSchedule:
             if args[1] not in ("X", "Z"):
                 raise ScheduleError(f"line {line_no}: kind must be X or Z")
             cnots.append((step, args[1], row, qubit))
+            cnot_lines.append(line_no)
         else:
             raise ScheduleError(f"line {line_no}: unknown directive {directive!r}")
     if mode is None or steps is None:
         raise ScheduleError("schedule file needs 'mode' and 'steps' headers")
+    conflict = _first_conflict(steps, cnots)
+    if conflict:
+        raise ScheduleError(f"line {cnot_lines[conflict[0]]}: {conflict[1]}")
     last = max((cnot[0] for cnot in cnots), default=0)
     if steps > last:
         raise ScheduleError(f"line {steps_line}: steps {steps} is past the last CNOT step {last}")

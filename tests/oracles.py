@@ -6,24 +6,26 @@ import numpy as np
 
 from starqec.circuits import (
     CATEGORIES,
+    CNOT,
+    MEAS_X,
+    MEAS_Z,
+    PREP_PLUS,
+    PREP_ZERO,
     EcCircuit,
     NoiseModel,
     category_value_count,
     fault_stream,
 )
 from starqec.codes import CssCode
+from starqec.complexes import ICOSAHEDRON_NEIGHBORS, CellComplex2D
 from starqec.decoder import EcDecision, LookupTable, ec_decision
-from starqec.engine import (
-    Condition1Report,
-    ExRecSweepReport,
-    TrialResult,
-    _grid_blocks,
-    malignant_cross,
-    malignant_same_unit,
-)
+from starqec.engine import Condition1Report, ExRecSweepReport, TrialResult
+from starqec.exact import malignant_cross, malignant_same_unit
 from starqec.faulttol import enumerate_single_fault_errors, syndrome_bits
-from starqec.frames import FaultSig, PauliFrame, propagate
-from starqec.gf2 import BitMatrix
+from starqec.frames import FaultSig, fault_injection
+from starqec.gf2 import BitMatrix, BitVector
+from starqec.kernel import _grid_blocks
+from starqec.scheduling import CnotSchedule
 
 
 def naive_rank(dense: np.ndarray) -> int:
@@ -85,6 +87,22 @@ def naive_kernel(dense: np.ndarray) -> list[np.ndarray]:
 # --- readers and builders the library does not need ---
 
 
+def from_rows(rows, cols: int | None = None) -> BitMatrix:
+    """A matrix from rows of 0/1 entries; ``cols`` is needed only when there are no rows."""
+    packed = []
+    width = cols
+    for row in rows:
+        vals = list(row)
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise ValueError("ragged rows")
+        packed.append(sum((v & 1) << i for i, v in enumerate(vals)))
+    if width is None:
+        raise ValueError("cols required for an empty matrix")
+    return BitMatrix(tuple(packed), width)
+
+
 def identity(n: int) -> BitMatrix:
     return BitMatrix(tuple(1 << i for i in range(n)), n)
 
@@ -101,11 +119,110 @@ def format_circuit(circuit: EcCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_complex(c: CellComplex2D) -> str:
+    lines = []
+    if c.name:
+        lines.append(f"# {c.name}")
+    lines.append(f"vertices {c.vertex_count}")
+    for u, v in c.edges:
+        lines.append(f"edge {u} {v}")
+    for face in c.faces:
+        lines.append("face " + " ".join(str(e) for e in face))
+    return "\n".join(lines) + "\n"
+
+
+def check_order(schedule: CnotSchedule, kind: str, row: int) -> list[tuple[int, int]]:
+    """(step, qubit) pairs of one check, in time order."""
+    return sorted((s, q) for s, k, r, q in schedule.cnots if k == kind and r == row)
+
+
+def icosahedron_triangles() -> list[tuple[int, int, int]]:
+    """All 20 triangles of the icosahedron, as sorted vertex triples."""
+    tris = set()
+    for u, nbrs in ICOSAHEDRON_NEIGHBORS.items():
+        for v in nbrs:
+            for w in nbrs:
+                if v < w and w in ICOSAHEDRON_NEIGHBORS[v]:
+                    tris.add(tuple(sorted((u, v, w))))
+    return sorted(tris)
+
+
+def ssd_triangle_logicals(code: CssCode, around_vertex: int | None = None) -> list[BitVector]:
+    """Triangular logical Z operators of the SSD code.
+
+    Every icosahedron triangle is a logical Z; with ``around_vertex`` set,
+    only the five triangles containing that vertex are returned (their
+    product equals that vertex's Z-check).
+    """
+    c = code.complex
+    tris = [t for t in icosahedron_triangles() if around_vertex in (None, *t)]
+    return [BitVector.from_support(code.n, [c.edge_index(a, b), c.edge_index(a, d),
+                                            c.edge_index(b, d)]) for a, b, d in tris]
+
+
 def unpack(kernel, lanes: np.ndarray) -> list[tuple[int, int]]:
-    """(x, z) data residuals of the given kernel lanes."""
-    (xb, _, _), (zb, _, _) = kernel._types
-    values = [int.from_bytes(row.tobytes(), "little") for row in lanes.astype("<u8")]
-    return [((v >> xb) % (1 << kernel._n), (v >> zb) % (1 << kernel._n)) for v in values]
+    """(x, z) data residuals of the given kernel lanes, whose syndrome bits
+    must be zero: each type's words read as one integer."""
+    return [tuple(int.from_bytes(row[words].tobytes(), "little") for words in kernel.type_words)
+            for row in lanes.astype("<u8")]
+
+
+# --- full-circuit Pauli-frame propagation ---
+
+
+@dataclass
+class PauliFrame:
+    """Accumulated error components; bit q of ``x``/``z`` is an X/Z on qubit q."""
+
+    x: int = 0
+    z: int = 0
+
+
+@dataclass(frozen=True)
+class PropagationResult:
+    frame: PauliFrame
+    x_syndromes: tuple[int, ...]  # per round, from MeasZ outcomes
+    z_syndromes: tuple[int, ...]  # per round, from MeasX outcomes
+
+
+def propagate(
+    circuit: EcCircuit,
+    faults: list[tuple[int, int]] | dict[int, int] | None = None,
+    frame: PauliFrame | None = None,
+) -> PropagationResult:
+    """Run the full circuit over a Pauli frame, one timestep at a time: every
+    gate of ``circuit.locations`` at that step, then the faults at its
+    locations; collect the per-round syndromes of both types. Its own loop,
+    not ``frames._walk``, so that a walker bug shared by the signatures
+    cannot hide."""
+    faults = dict(faults or {})
+    x, z = (frame.x, frame.z) if frame is not None else (0, 0)
+    syn = {MEAS_Z: [0] * circuit.rounds, MEAS_X: [0] * circuit.rounds}
+    steps: dict[int, list[int]] = {}
+    for i, loc in enumerate(circuit.locations):
+        steps.setdefault(loc.t, []).append(i)
+    for t in sorted(steps):
+        for loc in (circuit.locations[i] for i in steps[t]):
+            q = loc.qubits[0]
+            if loc.kind == CNOT:
+                target = loc.qubits[1]
+                x ^= ((x >> q) & 1) << target
+                z ^= ((z >> target) & 1) << q
+            elif loc.kind in (PREP_PLUS, PREP_ZERO):
+                x &= ~(1 << q)
+                z &= ~(1 << q)
+            elif loc.kind in syn:
+                rnd, pos = circuit.meas_round_and_pos(loc)
+                syn[loc.kind][rnd] ^= (((z if loc.kind == MEAS_X else x) >> q) & 1) << pos
+        for i in (i for i in steps[t] if i in faults):
+            loc = circuit.locations[i]
+            if loc.kind in syn:  # a measurement fault flips its outcome
+                rnd, pos = circuit.meas_round_and_pos(loc)
+                syn[loc.kind][rnd] ^= 1 << pos
+            else:
+                fx, fz = fault_injection(loc, faults[i])
+                x, z = x ^ fx, z ^ fz
+    return PropagationResult(PauliFrame(x, z), tuple(syn[MEAS_Z]), tuple(syn[MEAS_X]))
 
 
 # --- scalar EC unit, ideal decoder, trials and fault sampler ---
@@ -438,10 +555,9 @@ def lane_exact_c(sim):
         w = weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
         for rule, mal in enumerate(malignant_same_unit(kernel, sigs[i] ^ sigs[j])):
             both[rule] += w[mal].sum()
-    unit_noise = NoiseModel(1.0)
-    for cat, atoms, (n_loc, n_val) in zip(CATEGORIES, kernel._atoms, kernel._sizes):
+    for atoms, (n_loc, n_val), weight in kernel.atom_tables:
         a, b = np.triu_indices(n_val)
-        w = (unit_noise.category_prob(cat) / n_val) ** 2 * np.where(a == b, 1.0, 2.0)
+        w = weight ** 2 * np.where(a == b, 1.0, 2.0)
         for loc, k in _grid_blocks(n_loc, a.size):
             frames = atoms[loc * n_val + a[k]] ^ atoms[loc * n_val + b[k]]
             for rule, mal in enumerate(malignant_same_unit(kernel, frames)):

@@ -17,14 +17,21 @@ from starqec.circuits import (
     category_value_count,
     fault_stream,
 )
-from starqec.codes import distance_upto, ssd_triangle_logicals, verify_logical_basis
-from starqec.engine import count_cnot_pairs, fit_quadratic, m_copy_failure
+from starqec.codes import distance_upto, verify_logical_basis
+from starqec.engine import count_cnot_pairs
 from starqec.faulttol import find_fault_tolerant_schedule, verify_unique_syndromes
-from starqec.frames import propagate
-from starqec.gf2 import BitMatrix, kernel_basis, rank
+from starqec.gf2 import kernel_basis, rank
+from starqec.results import fit_quadratic, m_copy_failure
 from starqec.scheduling import verify_properness
 
-from oracles import naive_kernel, naive_rank, sample_faults
+from oracles import (
+    from_rows,
+    naive_kernel,
+    naive_rank,
+    propagate,
+    sample_faults,
+    ssd_triangle_logicals,
+)
 
 SEED = 2026
 GRID = [3e-4, 1e-3, 3e-3]
@@ -217,7 +224,7 @@ def test_criterion_10_property_suites(ssd_sim):
     rng = np.random.default_rng(SEED)
     for _ in range(500):
         dense = rng.integers(0, 2, size=(20, 20))
-        m = BitMatrix.from_rows(dense.tolist())
+        m = from_rows(dense.tolist())
         assert rank(m) == naive_rank(dense)
         basis = kernel_basis(m)
         oracle = naive_kernel(dense)

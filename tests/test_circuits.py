@@ -18,7 +18,7 @@ from starqec.faulttol import builtin_schedule
 from starqec.gf2 import BitMatrix
 from starqec.scheduling import CnotSchedule
 
-from oracles import format_circuit, sample_faults
+from oracles import format_circuit, from_rows, sample_faults
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ class TestBuild:
     def test_single_check_one_round(self):
         code = CssCode(
             n=5,
-            hx=BitMatrix.from_rows([[1] * 5]),
+            hx=from_rows([[1] * 5]),
             hz=BitMatrix(rows=(), cols=5),
             logical_x=(),
             logical_z=(),

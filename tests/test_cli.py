@@ -46,6 +46,18 @@ class TestCodeInfo:
         assert res.exit_code == 2
         assert "line 3" in res.output
 
+    @pytest.mark.parametrize("text, line", [
+        ("vertices \u00b2\nedge 0 1\n", 1),
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 2\nface 0 1 9\n", 5),
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 1\nface 0 1 2\n", 4),
+    ])
+    def test_complex_fault_names_its_line(self, runner, tmp_path, text, line):
+        path = tmp_path / "bad.cplx"
+        path.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["code", "info", "--complex-file", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"line {line}: " in res.output
+
     def test_requires_selector(self, runner):
         res = runner.invoke(main, ["code", "info"])
         assert res.exit_code == 2
@@ -108,6 +120,12 @@ class TestSchedule:
         ("steps 10", "steps ten", 2),
         ("cnot 1 X 0 0", "cnot 1 X 0 zero", 3),
         ("steps 10", "steps 99999999999", 2),
+        ("mode separate", "mode sideways", 1),
+        ("cnot 1 X 0 0", "cnot 0 X 0 0", 3),
+        ("cnot 1 X 0 0", "cnot 11 X 0 0", 3),
+        ("cnot 1 X 1 8", "cnot 1 X 0 0", 4),
+        ("cnot 1 X 1 8", "cnot 1 X 1 0", 4),
+        ("cnot 1 X 1 8", "cnot 1 X 0 7", 4),
     ])
     def test_malformed_schedule_names_line(self, runner, tmp_path, old, new, line):
         # a usage error, never a traceback or an EC circuit past the last CNOT
@@ -266,8 +284,8 @@ class TestSim:
 
     def test_oversized_decoder_is_usage_error(self, runner, tmp_path):
         from starqec.codes import code_from_complex
-        from starqec.complexes import format_complex
         from starqec.scheduling import save_schedule
+        from oracles import format_complex
         from test_decoder import colored_schedule, grid_complex
 
         cplx = grid_complex(5, 5)
@@ -326,7 +344,7 @@ def test_out_in_missing_directory_is_usage_error(runner, tmp_path, monkeypatch, 
 
 class TestFit:
     def synthetic_csv(self, tmp_path, c, name="x"):
-        from starqec.engine import ResultRow, write_results_csv
+        from starqec.results import ResultRow, write_results_csv
 
         rows = []
         for p in (3e-4, 1e-3):
@@ -346,7 +364,7 @@ class TestFit:
         assert summary["pstar"] == pytest.approx(3.33e-5, rel=0.02)
 
     def test_fit_json_lists_dropped_points(self, runner, tmp_path):
-        from starqec.engine import ResultRow, write_results_csv
+        from starqec.results import ResultRow, write_results_csv
 
         path = tmp_path / "mixed.csv"
         rows = [
@@ -362,7 +380,7 @@ class TestFit:
         assert summary["dropped"] == [{"p": 1e-4, "reason": "too few failures"}]
 
     def test_fit_insufficient_failures(self, runner, tmp_path):
-        from starqec.engine import ResultRow, write_results_csv
+        from starqec.results import ResultRow, write_results_csv
 
         path = tmp_path / "thin.csv"
         write_results_csv(path, [ResultRow("syn", "exrec", 1e-3, 100, 1, 0.01, 0, 1, 1)])
@@ -382,7 +400,7 @@ class TestFit:
         assert "do NOT" not in res.output
 
     def test_fit_compare_failure_prints_and_exits_1(self, runner, tmp_path):
-        from starqec.engine import ResultRow, write_results_csv
+        from starqec.results import ResultRow, write_results_csv
 
         small = self.synthetic_csv(tmp_path, 3000, "small")
         thin = tmp_path / "thin.csv"

@@ -6,11 +6,12 @@ from starqec.codes import (
     code_from_complex,
     distance_upto,
     independent_rows,
-    ssd_triangle_logicals,
     verify_logical_basis,
 )
 from starqec.complexes import parse_complex, small_stellated_dodecahedron_complex
-from starqec.gf2 import BitMatrix, BitVector, RowSpace, mat_vec, rank
+from starqec.gf2 import BitVector, RowSpace, mat_vec, rank
+
+from oracles import from_rows, ssd_triangle_logicals
 
 SQUARE_PATCH = "vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
 
@@ -158,8 +159,8 @@ def test_non_commuting_checks_rejected():
     with pytest.raises(CssConstructionError) as err:
         CssCode(
             n=3,
-            hx=BitMatrix.from_rows([[1, 1, 0]]),
-            hz=BitMatrix.from_rows([[1, 0, 1]]),
+            hx=from_rows([[1, 1, 0]]),
+            hz=from_rows([[1, 0, 1]]),
             logical_x=(),
             logical_z=(),
         )

@@ -4,10 +4,11 @@ from starqec.complexes import (
     CellComplex2D,
     ComplexFormatError,
     build_complex,
-    format_complex,
     parse_complex,
     small_stellated_dodecahedron_complex,
 )
+
+from oracles import format_complex
 
 SQUARE_PATCH = """\
 # one square face
@@ -51,10 +52,17 @@ def test_canonical_edge_order():
         ("vertices 4\nedge 0 1\nunknown 1\n", 3),
         ("vertices 4\nedge 0 0\n", 2),
         ("vertices 2\nedge 0 1\nface 0 1\n", 3),
+        # a digit that str.isdigit() passes and int() refuses
+        ("vertices \u00b2\nedge 0 1\n", 1),
+        # checks that need every edge name the face's or the repeated edge's line
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 2\nface 0 1 9\n", 5),
+        ("vertices 4\nface 0 1 5\nedge 0 1\nedge 1 2\nedge 0 2\n", 2),
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 1 0\nface 0 1 2\n", 4),
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 2\nface 0 1 2\nface 0 1 1\n", 6),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
-    with pytest.raises(ComplexFormatError) as err:
+    with pytest.raises(ComplexFormatError, match=f"^line {line}: ") as err:
         parse_complex(text)
     assert err.value.line_no == line
 

@@ -22,33 +22,35 @@ from starqec.circuits import (
 from starqec import engine
 from starqec.codes import CssCode, code_from_complex
 from starqec.complexes import parse_complex
-from starqec.engine import (
-    _CATEGORIES,
-    EcKernel,
+from starqec.engine import Simulator, count_cnot_pairs
+from starqec.exact import (
+    exact_c_parts,
+    exact_quadratic_coefficient,
+    malignant_cross,
+    malignant_same_unit,
+)
+from starqec.faulttol import enumerate_single_fault_errors, find_fault_tolerant_schedule
+from starqec.frames import FaultSig
+from starqec.gf2 import BitMatrix, RowSpace
+from starqec.kernel import _CATEGORIES, EcKernel
+from starqec.results import (
     FitError,
     PointEstimate,
     ResultRow,
-    Simulator,
-    count_cnot_pairs,
-    exact_c_parts,
-    exact_quadratic_coefficient,
     fit_quadratic,
-    malignant_cross,
-    malignant_same_unit,
     m_copy_failure,
     read_results_csv,
     wilson_interval,
     write_results_csv,
 )
-from starqec.faulttol import enumerate_single_fault_errors, find_fault_tolerant_schedule
-from starqec.frames import FaultSig, PauliFrame
-from starqec.gf2 import BitMatrix, RowSpace
 from starqec.scheduling import CnotSchedule
 
 from conftest import toric_cplx
 from oracles import (
+    PauliFrame,
     all_lanes_batch,
     faults_to_sigs,
+    from_rows,
     lane_exact_c,
     run_ec_unit,
     run_exrec_trial,
@@ -510,10 +512,10 @@ class TestExactC:
         kernel = sim.kernel
         distinct, _weights = sim.distinct_signatures()
         sigs = kernel.pack(distinct)
-        split = kernel._types[1][0] // 64
+        x_words, z_words = kernel.type_words
         x_only, z_only = sigs.copy(), sigs.copy()
-        x_only[:, split:] = 0
-        z_only[:, :split] = 0
+        x_only[:, z_words] = 0
+        z_only[:, x_words] = 0
         rng = np.random.default_rng(23)
         i, j = rng.integers(0, len(distinct), size=(2, 10_000))
 
@@ -827,7 +829,7 @@ class TestFitsAndCounts:
     def test_two_cnots_one_pair(self):
         code = CssCode(
             n=2,
-            hx=BitMatrix.from_rows([[1, 1]]),
+            hx=from_rows([[1, 1]]),
             hz=BitMatrix(rows=(), cols=2),
             logical_x=(),
             logical_z=(),

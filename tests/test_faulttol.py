@@ -19,6 +19,8 @@ from starqec.faulttol import (
 from starqec.gf2 import RowSpace
 from starqec.scheduling import CnotSchedule, format_schedule, verify_properness
 
+from oracles import check_order
+
 
 def reordered_ssd_schedule():
     """A valid SSD schedule whose Z-check-0 CNOT order creates two weight-2
@@ -104,7 +106,7 @@ class TestEnumeration:
         # that circuit-level propagation produces
         sched = builtin_schedule("ssd")
         measured = independent_rows(ssd_code.hz)
-        orders = {r: [q for _s, q in sched.check_order("Z", r)] for r in range(12)}
+        orders = {r: [q for _s, q in check_order(sched, "Z", r)] for r in range(12)}
         predicted = _side_residuals(ssd_code, "Z", measured, orders)
         enumerated = {
             fr.residual

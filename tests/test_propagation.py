@@ -10,7 +10,9 @@ from starqec.circuits import (
 )
 from starqec.engine import Simulator
 from starqec.faulttol import builtin_schedule
-from starqec.frames import PauliFrame, compute_signatures, propagate, signature_of
+from starqec.frames import compute_signatures, signature_of
+
+from oracles import PauliFrame, check_order, propagate
 
 # CNOT fault value for X on the control only: (v+1) = 4*1+0
 X_ON_CONTROL = 3
@@ -43,7 +45,7 @@ def test_ancilla_x_fault_after_third_cnot_hits_last_two_qubits(ssd_round, ssd_co
     # weight-5 X-check: an X on the ancilla after CNOT 3 propagates to the
     # two data qubits still to come
     row = 0
-    order = builtin_schedule("ssd").check_order("X", row)
+    order = check_order(builtin_schedule("ssd"), "X", row)
     loc_idx = cnot_location_of(ssd_round, "X", row, 2)
     res = propagate(ssd_round, [(loc_idx, X_ON_CONTROL)])
     expected = (1 << order[3][1]) | (1 << order[4][1])
@@ -125,6 +127,40 @@ def test_signature_matches_full_propagation(ssd_round):
         assert sig.z_res == res.frame.z & ssd_round.data_mask
         assert sig.x_syn == res.x_syndromes
         assert sig.z_syn == res.z_syndromes
+
+
+def test_oracle_is_independent_of_the_walker(ssd_round, monkeypatch):
+    # propagate runs its own gate loop: a walker that drops the CNOT's Z
+    # back-propagation (target to control) changes signature_of, not the oracle
+    def walk_without_z_back(ops, x, z, x_syn, z_syn):
+        for _t, kind, a, b in ops:
+            if kind == "c":
+                x ^= ((x >> a) & 1) << b
+            elif kind == "p":
+                x &= ~(1 << a)
+                z &= ~(1 << a)
+            else:
+                syn, bits = (z_syn, z) if kind == "mx" else (x_syn, x)
+                syn[b[0]] ^= ((bits >> a) & 1) << b[1]
+        return x, z
+
+    data = ssd_round.data_mask
+    atoms = [(i, Z_ON_TARGET) for i, loc in enumerate(ssd_round.locations) if loc.kind == CNOT]
+
+    def oracle():
+        results = (propagate(ssd_round, [atom]) for atom in atoms)
+        return [(r.frame.x & data, r.frame.z & data, r.x_syndromes, r.z_syndromes)
+                for r in results]
+
+    def signatures():
+        sigs = (signature_of(ssd_round, i, v) for i, v in atoms)
+        return [(s.x_res, s.z_res, s.x_syn, s.z_syn) for s in sigs]
+
+    want = oracle()
+    assert signatures() == want
+    monkeypatch.setattr(frames, "_walk", walk_without_z_back)
+    assert sum(got != w for got, w in zip(signatures(), want)) > len(atoms) // 4
+    assert oracle() == want
 
 
 def test_pure_x_faults_never_touch_z_parts(ssd_round):

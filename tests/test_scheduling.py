@@ -20,9 +20,11 @@ from starqec.scheduling import (
 )
 from starqec.faulttol import builtin_schedule, find_fault_tolerant_schedule
 
+from oracles import from_rows
+
 
 def single_check_code(weight: int) -> CssCode:
-    hx = BitMatrix.from_rows([[1] * weight])
+    hx = from_rows([[1] * weight])
     hz = BitMatrix(rows=(), cols=weight)
     return CssCode(n=weight, hx=hx, hz=hz, logical_x=(), logical_z=(), name="one-check")
 
@@ -202,6 +204,13 @@ class TestSchedules:
         # idle steps past the last CNOT: refused before any circuit is built
         ("mode separate\n# comment\nsteps 99999999999\ncnot 1 X 0 0\n", 3),
         ("mode separate\nsteps 2\ncnot 1 X 0 0\n", 2),
+        ("mode sideways\nsteps 1\ncnot 1 X 0 0\n", 1),
+        # the CNOT checks of CnotSchedule, each naming the CNOT's line
+        ("mode separate\nsteps 5\ncnot 0 X 0 0\n", 3),
+        ("mode separate\nsteps 5\ncnot 5 X 0 0\ncnot 7 X 0 1\n", 4),
+        ("mode separate\ncnot 1 X 0 0\nsteps 1\ncnot 1 X 0 0\n", 4),
+        ("mode separate\nsteps 1\ncnot 1 X 0 0\ncnot 1 X 1 0\n", 4),
+        ("mode separate\nsteps 1\ncnot 1 X 0 0\n\ncnot 1 X 0 1\n", 5),
     ])
     def test_malformed_line_is_named(self, text, line):
         with pytest.raises(ScheduleError, match=f"^line {line}: "):
@@ -218,8 +227,8 @@ class TestProperness:
         # qubit 1 sees Z then X, which randomizes both outcomes
         code = CssCode(
             n=2,
-            hx=BitMatrix.from_rows([[1, 1]]),
-            hz=BitMatrix.from_rows([[1, 1]]),
+            hx=from_rows([[1, 1]]),
+            hz=from_rows([[1, 1]]),
             logical_x=(),
             logical_z=(),
             name="pair",
@@ -242,8 +251,8 @@ class TestProperness:
     def test_disjoint_checks_vacuously_proper(self):
         code = CssCode(
             n=4,
-            hx=BitMatrix.from_rows([[1, 1, 0, 0]]),
-            hz=BitMatrix.from_rows([[0, 0, 1, 1]]),
+            hx=from_rows([[1, 1, 0, 0]]),
+            hz=from_rows([[0, 0, 1, 1]]),
             logical_x=(),
             logical_z=(),
         )
