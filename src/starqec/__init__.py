@@ -20,7 +20,7 @@ from .faulttol import (
     find_fault_tolerant_schedule,
     verify_unique_syndromes,
 )
-from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec, rank, symplectic_product
+from .gf2 import BitMatrix, BitVector, mat_vec, rank, symplectic_product
 from .results import fit_quadratic, m_copy_failure
 from .scheduling import (
     CnotSchedule,

@@ -76,6 +76,8 @@ def _code_options(f):
 
 
 def _resolve_code(code_name: str | None, complex_file: str | None) -> CssCode:
+    if code_name is not None and complex_file is not None:
+        raise click.UsageError("--code and --complex-file are mutually exclusive")
     if complex_file is not None:
         path = Path(complex_file)
         if not path.exists():

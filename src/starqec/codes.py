@@ -4,15 +4,17 @@ built-in small stellated dodecahedron [[30,8,3]] and Surface-17 [[9,1,3]] codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import islice
 from math import comb
+from typing import Iterator
 
 from .complexes import CellComplex2D, small_stellated_dodecahedron_complex
-from .gf2 import BitMatrix, BitVector, RowSpace, kernel_basis, mat_vec, rank, symplectic_product
+from .gf2 import BitMatrix, BitVector, RowSpace, mat_vec, rank, symplectic_product
 
 
-# Supports distance_upto may enumerate: SSD's 30 qubits up to weight 6 are 768,211.
-MAX_DISTANCE_SUPPORTS = 1 << 20
+# Supports a kernel search may visit, in the logical search and in
+# distance_upto: SSD's 30 qubits up to weight 6 are 768,211.
+MAX_SEARCH_SUPPORTS = 1 << 20
 
 
 class CssConstructionError(ValueError):
@@ -69,42 +71,48 @@ def independent_rows(m: BitMatrix) -> list[int]:
     return kept
 
 
-def _enumerate_by_weight(basis: list[int], n: int, weight_cap: int) -> list[int]:
-    """Nonzero elements of span(basis) with weight <= weight_cap, sorted by
-    (weight, payload) for determinism. Enumerates the subspace via Gray code."""
-    dim = len(basis)
-    if dim == 0:
-        return []
-    if dim > 24:
+def _check_search_size(n: int, w: int) -> None:
+    """Refuse a kernel search up to weight ``w`` on ``n`` qubits that would
+    visit more than ``MAX_SEARCH_SUPPORTS`` supports."""
+    supports = sum(comb(n, i) for i in range(1, w + 1))
+    if supports > MAX_SEARCH_SUPPORTS:
         raise CssConstructionError(
-            f"kernel dimension {dim} too large for exhaustive coset search; "
-            "supply logical operators explicitly"
+            f"a kernel search up to weight {w} on {n} qubits visits {supports} supports; "
+            f"the bound is {MAX_SEARCH_SUPPORTS} (2^20)"
         )
-    out = []
-    value = 0
-    for g in range(1, 1 << dim):
-        value ^= basis[(g & -g).bit_length() - 1]
-        if value.bit_count() <= weight_cap:
-            out.append(value)
-    out.sort(key=lambda v: (v.bit_count(), v))
-    return out
+
+
+def _low_weight_kernel(checks: BitMatrix, w_max: int) -> Iterator[int]:
+    """The nonzero elements of the kernel of ``checks`` (packed ints with even
+    overlap with every row) of weight <= w_max, in (weight, value) order.
+    Gosper's step walks each weight's supports in increasing value; each
+    weight is checked against the bound before it starts, so a caller that
+    stops early never pays for the weights beyond."""
+    rows, n = checks.rows, checks.cols
+    for w in range(1, min(w_max, n) + 1):
+        _check_search_size(n, w)
+        v = (1 << w) - 1
+        while not v >> n:
+            if not any((v & r).bit_count() & 1 for r in rows):
+                yield v
+            low = v & -v
+            ripple = v + low
+            v = (((ripple ^ v) >> 2) // low) | ripple
 
 
 def _coset_representatives(
-    kernel: list[int], stabilizers: BitMatrix, k: int, n: int, weight_cap: int
+    checks: BitMatrix, stabilizers: BitMatrix, k: int, weight_cap: int
 ) -> list[int]:
-    """Pick k minimum-weight kernel elements independent modulo the stabilizer rows."""
+    """Pick k minimum-weight elements of the kernel of ``checks`` that are
+    independent modulo the stabilizer rows: the first k that enlarge their span."""
     space = RowSpace.of_matrix(stabilizers)
-    picked: list[int] = []
-    for v in _enumerate_by_weight(kernel, n, weight_cap):
-        if space.add(v):
-            picked.append(v)
-            if len(picked) == k:
-                return picked
-    raise CssConstructionError(
-        f"found only {len(picked)} of {k} logical representatives with weight <= {weight_cap}; "
-        "raise the weight cap"
-    )
+    picked = list(islice(filter(space.add, _low_weight_kernel(checks, weight_cap)), k))
+    if len(picked) < k:
+        raise CssConstructionError(
+            f"found only {len(picked)} of {k} logical representatives with weight <= {weight_cap}; "
+            "raise the weight cap"
+        )
+    return picked
 
 
 def _pair_symplectically(xs: list[int], zs: list[int]) -> tuple[list[int], list[int]]:
@@ -132,6 +140,13 @@ def _pair_symplectically(xs: list[int], zs: list[int]) -> tuple[list[int], list[
     return xs, zs
 
 
+def _check_matrices(c: CellComplex2D) -> tuple[BitMatrix, BitMatrix]:
+    """(hx, hz) of a complex: one X-check per vertex (its incident edges) and
+    one Z-check per face (its edge set)."""
+    hx = BitMatrix.from_supports([c.vertex_star(v) for v in range(c.vertex_count)], c.edge_count)
+    return hx, BitMatrix.from_supports(c.faces, c.edge_count)
+
+
 def code_from_complex(c: CellComplex2D, weight_cap: int = 8) -> CssCode:
     """Homological CSS code of a 2-complex.
 
@@ -140,24 +155,11 @@ def code_from_complex(c: CellComplex2D, weight_cap: int = 8) -> CssCode:
     representatives found by searching the check kernels up to ``weight_cap``.
     """
     n = c.edge_count
-    hx = BitMatrix.from_supports([c.vertex_star(v) for v in range(c.vertex_count)], n)
-    hz = BitMatrix.from_supports(c.faces, n)
-    for i, rx in enumerate(hx.rows):
-        for j, rz in enumerate(hz.rows):
-            if (rx & rz).bit_count() & 1:
-                raise CssConstructionError(
-                    f"X-check at vertex {i} anticommutes with Z-check of face {j}"
-                )
+    hx, hz = _check_matrices(c)
     k = n - rank(hx) - rank(hz)
-    if k == 0:
-        logical_x: list[int] = []
-        logical_z: list[int] = []
-    else:
-        ker_hx = [v.bits for v in kernel_basis(hx)]
-        ker_hz = [v.bits for v in kernel_basis(hz)]
-        logical_z = _coset_representatives(ker_hx, hz, k, n, weight_cap)
-        logical_x = _coset_representatives(ker_hz, hx, k, n, weight_cap)
-        logical_x, logical_z = _pair_symplectically(logical_x, logical_z)
+    logical_x, logical_z = _pair_symplectically(
+        _coset_representatives(hz, hx, k, weight_cap), _coset_representatives(hx, hz, k, weight_cap)
+    )
     return CssCode(
         n=n,
         hx=hx,
@@ -201,8 +203,7 @@ def builtin_ssd() -> CssCode:
     """
     c = small_stellated_dodecahedron_complex()
     n = c.edge_count
-    hx = BitMatrix.from_supports([c.vertex_star(v) for v in range(12)], n)
-    hz = BitMatrix.from_supports(c.faces, n)
+    hx, hz = _check_matrices(c)
 
     def op(edge_list):
         return BitVector.from_support(n, [c.edge_index(u, v) for u, v in edge_list])
@@ -240,37 +241,24 @@ def builtin_surface17() -> CssCode:
 
 
 def distance_upto(code: CssCode, w_max: int) -> tuple[int | None, int | None]:
-    """(d_Z, d_X) by exhaustive enumeration of errors with weight <= w_max.
+    """(d_Z, d_X) by a weight-ordered search of errors with weight <= w_max.
 
     d_Z is the minimum weight of a Z-type error with zero X-check syndrome
     and odd overlap with some logical X (symmetrically for d_X). ``None``
     means no such error exists up to w_max. A search over more than
-    ``MAX_DISTANCE_SUPPORTS`` supports is refused before it starts.
+    ``MAX_SEARCH_SUPPORTS`` supports is refused before it starts.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    supports = sum(comb(code.n, w) for w in range(1, w_max + 1))
-    if supports > MAX_DISTANCE_SUPPORTS:
-        raise ValueError(
-            f"a distance search up to weight {w_max} on {code.n} qubits enumerates "
-            f"{supports} supports; the bound is {MAX_DISTANCE_SUPPORTS} (2^20)"
-        )
-    d_z: int | None = None
-    d_x: int | None = None
-    for w in range(1, w_max + 1):
-        for support in combinations(range(code.n), w):
-            bits = 0
-            for q in support:
-                bits |= 1 << q
-            if d_z is None and all((bits & r).bit_count() % 2 == 0 for r in code.hx.rows):
-                if any((bits & lx.bits).bit_count() & 1 for lx in code.logical_x):
-                    d_z = w
-            if d_x is None and all((bits & r).bit_count() % 2 == 0 for r in code.hz.rows):
-                if any((bits & lz.bits).bit_count() & 1 for lz in code.logical_z):
-                    d_x = w
-        if d_z is not None and d_x is not None:
-            break
-    return d_z, d_x
+    _check_search_size(code.n, w_max)
+
+    def first_weight(checks: BitMatrix, logicals: tuple[BitVector, ...]) -> int | None:
+        for v in _low_weight_kernel(checks, w_max):
+            if any((v & lg.bits).bit_count() & 1 for lg in logicals):
+                return v.bit_count()
+        return None
+
+    return first_weight(code.hx, code.logical_x), first_weight(code.hz, code.logical_z)
 
 
 @dataclass

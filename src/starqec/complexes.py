@@ -22,15 +22,22 @@ class ComplexFormatError(ValueError):
         self.line_no = line_no
 
 
-def _face_problem(face: tuple[int, ...], edge_count: int) -> str | None:
-    """Why ``face`` cannot be a face of a complex with ``edge_count`` edges, or None."""
+def _face_problem(face: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> str | None:
+    """Why ``face`` cannot be a face of a complex with these canonical
+    ``edges``, or None. A face must be closed: every vertex meets an even
+    number of its edges, so its Z-check commutes with every X-check."""
     if len(face) < 3:
         return "every face needs at least 3 edges"
-    bad = [e for e in face if not 0 <= e < edge_count]
+    bad = [e for e in face if not 0 <= e < len(edges)]
     if bad:
         return f"face references invalid edge index {bad[0]}"
     if len(set(face)) != len(face):
         return "face repeats an edge"
+    odd: set[int] = set()
+    for e in face:
+        odd ^= set(edges[e])
+    if odd:
+        return f"face is not closed: an odd number of its edges meet at vertex {min(odd)}"
     return None
 
 
@@ -59,7 +66,7 @@ class CellComplex2D:
             seen.add((u, v))
             prev = (u, v)
         for face in self.faces:
-            problem = _face_problem(face, len(self.edges))
+            problem = _face_problem(face, self.edges)
             if problem:
                 raise ValueError(problem)
 
@@ -163,11 +170,12 @@ def parse_complex(text: str, name: str = "") -> CellComplex2D:
     if vertex_count is None:
         raise ComplexFormatError(1, "missing vertices header")
     # Face lines index canonical (sorted) edge order, known once every edge is read.
+    canonical = tuple(sorted(edges))
     for line_no, face in faces:
-        problem = _face_problem(face, len(edges))
+        problem = _face_problem(face, canonical)
         if problem:
             raise ComplexFormatError(line_no, problem)
-    return CellComplex2D(vertex_count, tuple(sorted(edges)), tuple(f for _l, f in faces), name=name)
+    return CellComplex2D(vertex_count, canonical, tuple(f for _l, f in faces), name=name)
 
 
 def load_complex(path: str | Path) -> CellComplex2D:

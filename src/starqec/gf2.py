@@ -94,26 +94,6 @@ def rank(m: BitMatrix) -> int:
     return RowSpace.of_matrix(m).rank
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of {v : M v = 0}, in canonical (pivot-ordered) form.
-
-    Basis vectors are indexed by the free columns of the reduced row
-    echelon form, in increasing column order, so the output is
-    deterministic for a given matrix.
-    """
-    pivots = RowSpace.of_matrix(m)._pivots
-    basis = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        bits = 1 << free
-        for col, row in pivots.items():
-            if (row >> free) & 1:
-                bits |= 1 << col
-        basis.append(BitVector(m.cols, bits))
-    return basis
-
-
 def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     """GF(2) matrix-vector product; row i of the result is <row_i, v>."""
     if v.length != m.cols:

@@ -23,7 +23,7 @@ from starqec.engine import Condition1Report, ExRecSweepReport, TrialResult
 from starqec.exact import malignant_cross, malignant_same_unit
 from starqec.faulttol import enumerate_single_fault_errors, syndrome_bits
 from starqec.frames import FaultSig, fault_injection
-from starqec.gf2 import BitMatrix, BitVector
+from starqec.gf2 import BitMatrix, BitVector, RowSpace
 from starqec.kernel import _grid_blocks
 from starqec.scheduling import CnotSchedule
 
@@ -109,6 +109,40 @@ def identity(n: int) -> BitMatrix:
 
 def to_dense(m: BitMatrix) -> list[list[int]]:
     return [[(r >> j) & 1 for j in range(m.cols)] for r in m.rows]
+
+
+def kernel_basis(m: BitMatrix) -> list[BitVector]:
+    """Basis of {v : M v = 0}, in canonical (pivot-ordered) form.
+
+    Basis vectors are indexed by the free columns of the reduced row
+    echelon form, in increasing column order, so the output is
+    deterministic for a given matrix.
+    """
+    pivots = RowSpace.of_matrix(m)._pivots
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        bits = 1 << free
+        for col, row in pivots.items():
+            if (row >> free) & 1:
+                bits |= 1 << col
+        basis.append(BitVector(m.cols, bits))
+    return basis
+
+
+def gray_kernel_by_weight(checks: BitMatrix, weight_cap: int) -> list[int]:
+    """Nonzero elements of the kernel of ``checks`` with weight <= weight_cap,
+    sorted by (weight, value): all 2^dim elements walked by Gray code over a
+    kernel basis, then sorted."""
+    basis = [v.bits for v in kernel_basis(checks)]
+    out = []
+    value = 0
+    for g in range(1, 1 << len(basis)):
+        value ^= basis[(g & -g).bit_length() - 1]
+        if value.bit_count() <= weight_cap:
+            out.append(value)
+    return sorted(out, key=lambda v: (v.bit_count(), v))
 
 
 def format_circuit(circuit: EcCircuit) -> str:

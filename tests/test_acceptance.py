@@ -20,12 +20,13 @@ from starqec.circuits import (
 from starqec.codes import distance_upto, verify_logical_basis
 from starqec.engine import count_cnot_pairs
 from starqec.faulttol import find_fault_tolerant_schedule, verify_unique_syndromes
-from starqec.gf2 import kernel_basis, rank
+from starqec.gf2 import rank
 from starqec.results import fit_quadratic, m_copy_failure
 from starqec.scheduling import verify_properness
 
 from oracles import (
     from_rows,
+    kernel_basis,
     naive_kernel,
     naive_rank,
     propagate,

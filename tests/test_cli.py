@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +11,10 @@ from starqec import codes
 from starqec.cli import main
 from starqec.decoder import DecoderBuildError
 
+from conftest import toric_cplx
+
 SQUARE_PATCH = "vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
+SSD_CPLX = Path(__file__).resolve().parent.parent / "benchmarks/inputs/ssd.cplx"
 
 
 @pytest.fixture()
@@ -50,6 +56,7 @@ class TestCodeInfo:
         ("vertices \u00b2\nedge 0 1\n", 1),
         ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 2\nface 0 1 9\n", 5),
         ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 1\nface 0 1 2\n", 4),
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2\n", 6),  # open face
     ])
     def test_complex_fault_names_its_line(self, runner, tmp_path, text, line):
         path = tmp_path / "bad.cplx"
@@ -62,14 +69,40 @@ class TestCodeInfo:
         res = runner.invoke(main, ["code", "info"])
         assert res.exit_code == 2
 
+    def test_ssd_complex_file_output_is_pinned(self, runner):
+        res = runner.invoke(main, ["code", "info", "--complex-file", str(SSD_CPLX)])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.output.encode()).hexdigest() == (
+            "d57867a25041f7f1b48e0b69f8a17ab16d0b78a55fc9d5b2d3f43f6ac78de073"
+        ), res.output
+
+    def test_torus_past_the_search_bound_is_usage_error(self, runner, tmp_path):
+        # the 5x5 torus's weight-5 logicals lie past the 2^20 support bound:
+        # refused once the walk reaches weight 5, not after a 2.4M-support walk
+        path = tmp_path / "torus5.cplx"
+        path.write_text(toric_cplx(5, 5))
+        start = time.perf_counter()
+        res = runner.invoke(main, ["code", "info", "--complex-file", str(path)])
+        assert res.exit_code == 2, res.output
+        assert "(2^20)" in res.output and "Traceback" not in res.output
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("command", [["code", "info"], ["sim", "verify"]])
+    def test_code_and_complex_file_are_exclusive(self, runner, tmp_path, command):
+        path = tmp_path / "torus3.cplx"
+        path.write_text(toric_cplx(3, 3))
+        res = runner.invoke(main, [*command, "--complex-file", str(path), "--code", "surface17"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "--code and --complex-file are mutually exclusive" in res.output
+
     @pytest.mark.parametrize("cap", [0, -1, 7, 30])
     def test_bad_distance_cap_is_usage_error(self, runner, monkeypatch, cap):
-        # below 1, or more supports than MAX_DISTANCE_SUPPORTS: refused before
-        # a single support is enumerated (SSD's default cap of 6 is 768,211)
+        # below 1, or more supports than MAX_SEARCH_SUPPORTS: refused before
+        # the kernel walk starts (SSD's default cap of 6 is 768,211 supports)
         def refuse(*_args):
-            raise AssertionError("supports were enumerated")
+            raise AssertionError("the kernel walk started")
 
-        monkeypatch.setattr(codes, "combinations", refuse)
+        monkeypatch.setattr(codes, "_low_weight_kernel", refuse)
         res = runner.invoke(main, ["code", "info", "--code", "ssd", "--distance-max", str(cap)])
         assert res.exit_code == 2, res.output
         assert "--distance-max" in res.output

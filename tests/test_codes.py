@@ -1,19 +1,26 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from starqec.codes import (
     CssCode,
     CssConstructionError,
+    _check_matrices,
+    _low_weight_kernel,
     code_from_complex,
     distance_upto,
     independent_rows,
     verify_logical_basis,
 )
-from starqec.complexes import parse_complex, small_stellated_dodecahedron_complex
+from starqec.complexes import build_complex, parse_complex, small_stellated_dodecahedron_complex
 from starqec.gf2 import BitVector, RowSpace, mat_vec, rank
 
-from oracles import from_rows, ssd_triangle_logicals
+from conftest import toric_cplx
+from oracles import from_rows, gray_kernel_by_weight, kernel_basis, ssd_triangle_logicals
 
 SQUARE_PATCH = "vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
+SSD_CPLX = Path(__file__).resolve().parent.parent / "benchmarks/inputs/ssd.cplx"
 
 
 class TestSsd:
@@ -124,6 +131,61 @@ class TestCodeFromComplex:
     def test_weight_cap_too_small(self):
         with pytest.raises(CssConstructionError):
             code_from_complex(small_stellated_dodecahedron_complex(), weight_cap=2)
+
+
+def random_complex(rng: random.Random):
+    """A random graph on 5-8 vertices whose faces are random nonzero sums of
+    its cycle-space basis, so that every face is closed."""
+    vertices = rng.randint(5, 8)
+    pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
+    edges = rng.sample(pairs, rng.randint(vertices, min(len(pairs), 14)))
+    graph = build_complex(vertices, edges)
+    cycles = [v.bits for v in kernel_basis(_check_matrices(graph)[0])]
+    faces = []
+    for _ in range(rng.randint(0, len(cycles))):
+        face = 0
+        while not face:
+            for c in cycles:
+                face ^= rng.choice((0, c))
+        faces.append([e for e in range(len(graph.edges)) if face >> e & 1])
+    return build_complex(vertices, list(graph.edges), faces_by_index=faces)
+
+
+class TestLowWeightKernel:
+    """The weight-ordered walk against the Gray-code walk over a kernel basis
+    that it replaced: the same elements in the same order, so the logical
+    search picks the same representatives."""
+
+    @pytest.mark.parametrize("text, cap", [
+        (SSD_CPLX.read_text(), 5),
+        (toric_cplx(3, 3), 6),
+        (toric_cplx(4, 4), 5),
+    ], ids=["ssd", "torus-3x3", "torus-4x4"])
+    def test_matches_gray_walk(self, text, cap):
+        for checks in _check_matrices(parse_complex(text)):
+            walk = list(_low_weight_kernel(checks, cap))
+            assert walk and walk == gray_kernel_by_weight(checks, cap)
+
+    def test_matches_gray_walk_on_random_complexes(self):
+        rng = random.Random(1717)
+        for _ in range(40):
+            cx = random_complex(rng)
+            for checks in _check_matrices(cx):
+                cap = rng.randint(1, cx.edge_count)
+                walk = list(_low_weight_kernel(checks, cap))
+                assert walk == gray_kernel_by_weight(checks, cap)
+
+    def test_refuses_logicals_past_the_search_bound(self):
+        # the 5x5 torus needs weight-5 logicals: 2,369,935 supports on 50 qubits
+        with pytest.raises(CssConstructionError, match=r"up to weight 5 on 50 qubits.*\(2\^20\)"):
+            code_from_complex(parse_complex(toric_cplx(5, 5)))
+
+    def test_torus_4x4(self):
+        code = code_from_complex(parse_complex(toric_cplx(4, 4)))
+        assert (code.n, code.k) == (32, 2)
+        assert verify_logical_basis(code).all_ok
+        assert distance_upto(code, 5) == (4, 4)
+        assert distance_upto(code, 3) == (None, None)
 
 
 class TestVerifyLogicalBasis:

