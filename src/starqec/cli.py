@@ -101,7 +101,7 @@ def _load_schedule(code: CssCode, schedule_path: str) -> CnotSchedule:
     return schedule
 
 
-def _resolve(code_name, complex_file, schedule_path, retries) -> tuple[CssCode, CnotSchedule]:
+def _resolve(code_name, complex_file, schedule_path) -> tuple[CssCode, CnotSchedule]:
     """The code, with the schedule file's schedule, the built-in one, or one
     found by search."""
     code = _resolve_code(code_name, complex_file)
@@ -109,23 +109,18 @@ def _resolve(code_name, complex_file, schedule_path, retries) -> tuple[CssCode, 
         return code, _load_schedule(code, schedule_path)
     if code_name is not None:
         return code, builtin_schedule(code_name)
-    return code, find_fault_tolerant_schedule(code, retries=retries).schedule
+    return code, find_fault_tolerant_schedule(code).schedule
 
 
 def _schedule_options(f):
-    """The code options, ``--schedule`` and ``--retries``, passed to the
-    command as ``source``: a call that ``_resolve``s them when the command
-    is ready. ``--retries`` is listed after the command's own options but
-    before ``--single-unit`` and ``--out``."""
+    """The code options and ``--schedule``, passed to the command as
+    ``source``: a call that ``_resolve``s them when the command is ready."""
 
+    @click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)
     @wraps(f)
-    def command(code_name, complex_file, schedule_path, retries, **kwargs):
-        return f(partial(_resolve, code_name, complex_file, schedule_path, retries), **kwargs)
+    def command(code_name, complex_file, schedule_path, **kwargs):
+        return f(partial(_resolve, code_name, complex_file, schedule_path), **kwargs)
 
-    click.option("--retries", default=1000, show_default=True)(command)
-    params = command.__click_params__  # in reverse order of listing
-    params.insert(sum(p.name in ("out", "single_unit") for p in params), params.pop())
-    click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None)(command)
     return _code_options(command)
 
 
@@ -194,21 +189,20 @@ def schedule():
 @_code_options
 @click.option("--mode", type=click.Choice(["separate", "interleaved"]), default="separate",
               show_default=True)
-@click.option("--retries", default=1000, show_default=True)
 @_out_option("Schedule file to write.", default_in_outdir=True)
-def schedule_build(code_name, complex_file, mode, retries, out):
+def schedule_build(code_name, complex_file, mode, out):
     """Search for a verified schedule and write it to a file."""
     c = _resolve_code(code_name, complex_file)
     out_path = Path(out) if out else _out_dir() / f"{c.name}-{mode}.sched"
     if mode == "separate":
         try:
-            res = find_fault_tolerant_schedule(c, retries=retries)
+            res = find_fault_tolerant_schedule(c)
         except ScheduleSearchError as exc:
             click.echo(f"search failed: {exc}")
             sys.exit(EXIT_VERIFICATION_FAILURE)
         colors = [f"colors: {res.colors_x} X + {res.colors_z} Z"]
     else:
-        res = find_interleaved_schedule(c, retries=min(retries, 200))
+        res = find_interleaved_schedule(c)
         if res.schedule is None:
             click.echo(
                 f"no passing interleaved schedule found (best coloring: {res.best_colors} "

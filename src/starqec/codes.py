@@ -71,26 +71,21 @@ def independent_rows(m: BitMatrix) -> list[int]:
     return kept
 
 
-def _check_search_size(n: int, w: int) -> None:
-    """Refuse a kernel search up to weight ``w`` on ``n`` qubits that would
-    visit more than ``MAX_SEARCH_SUPPORTS`` supports."""
-    supports = sum(comb(n, i) for i in range(1, w + 1))
-    if supports > MAX_SEARCH_SUPPORTS:
-        raise CssConstructionError(
-            f"a kernel search up to weight {w} on {n} qubits visits {supports} supports; "
-            f"the bound is {MAX_SEARCH_SUPPORTS} (2^20)"
-        )
-
-
 def _low_weight_kernel(checks: BitMatrix, w_max: int) -> Iterator[int]:
     """The nonzero elements of the kernel of ``checks`` (packed ints with even
     overlap with every row) of weight <= w_max, in (weight, value) order.
     Gosper's step walks each weight's supports in increasing value; each
-    weight is checked against the bound before it starts, so a caller that
-    stops early never pays for the weights beyond."""
+    weight is checked against ``MAX_SEARCH_SUPPORTS`` before it starts, so a
+    caller that stops early never pays for the weights beyond."""
     rows, n = checks.rows, checks.cols
+    supports = 0
     for w in range(1, min(w_max, n) + 1):
-        _check_search_size(n, w)
+        supports += comb(n, w)
+        if supports > MAX_SEARCH_SUPPORTS:
+            raise CssConstructionError(
+                f"a kernel search up to weight {w} on {n} qubits visits {supports} supports; "
+                f"the bound is {MAX_SEARCH_SUPPORTS} (2^20)"
+            )
         v = (1 << w) - 1
         while not v >> n:
             if not any((v & r).bit_count() & 1 for r in rows):
@@ -245,12 +240,12 @@ def distance_upto(code: CssCode, w_max: int) -> tuple[int | None, int | None]:
 
     d_Z is the minimum weight of a Z-type error with zero X-check syndrome
     and odd overlap with some logical X (symmetrically for d_X). ``None``
-    means no such error exists up to w_max. A search over more than
-    ``MAX_SEARCH_SUPPORTS`` supports is refused before it starts.
+    means no such error exists up to w_max. The walk is refused at the first
+    weight whose supports would pass ``MAX_SEARCH_SUPPORTS``, so a cap past
+    the bound costs nothing when a witness comes first.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    _check_search_size(code.n, w_max)
 
     def first_weight(checks: BitMatrix, logicals: tuple[BitVector, ...]) -> int | None:
         for v in _low_weight_kernel(checks, w_max):

@@ -140,7 +140,7 @@ def parse_complex(text: str, name: str = "") -> CellComplex2D:
                 raise ComplexFormatError(line_no, "duplicate vertices header")
             if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise ComplexFormatError(line_no, "expected: vertices N")
-            vertex_count = int(args[0])
+            vertex_count, vertex_line = int(args[0]), line_no
         elif kind == "edge":
             if vertex_count is None:
                 raise ComplexFormatError(line_no, "edge before vertices header")
@@ -175,6 +175,13 @@ def parse_complex(text: str, name: str = "") -> CellComplex2D:
         problem = _face_problem(face, canonical)
         if problem:
             raise ComplexFormatError(line_no, problem)
+    # An isolated vertex would be a weight-0 X check.
+    used = {u for edge in edges for u in edge}
+    isolated = next((v for v in range(vertex_count) if v not in used), None)
+    if isolated is not None:
+        raise ComplexFormatError(
+            vertex_line, f"vertices {vertex_count}: vertex {isolated} meets no edge"
+        )
     return CellComplex2D(vertex_count, canonical, tuple(f for _l, f in faces), name=name)
 
 

@@ -14,10 +14,12 @@ from .gf2 import RowSpace, syndrome_bits
 from .scheduling import (
     CnotSchedule,
     Coloring,
+    SchedulingGraph,
     build_check_graph,
     build_interleaved_graph,
     dsatur_color,
     parse_schedule,
+    properness_rule,
     schedule_from_colorings,
     schedule_from_interleaved_coloring,
     shuffled_priority,
@@ -165,92 +167,67 @@ def _orders_from_coloring(coloring: Coloring) -> dict[int, list[int]]:
     return {row: [q for _, q in sorted(v)] for row, v in per_check.items()}
 
 
-def _permuted(coloring: Coloring, perm: tuple[int, ...]) -> Coloring:
-    """Relabel color classes; a coloring fixes the time order only up to a
-    permutation of the steps, which gives extra schedule candidates."""
-    return Coloring(coloring.graph, tuple(perm[c] for c in coloring.colors))
-
-
 class ScheduleSearchError(RuntimeError):
     pass
 
 
+# Search budgets. Separate mode: at most SEPARATE_CANDIDATES candidates per
+# check type, the first SEPARATE_RELABELINGS of each coloring. Interleaved
+# mode: INTERLEAVED_COLORINGS colorings, INTERLEAVED_RELABELINGS of each.
+SEPARATE_CANDIDATES = 1000
+SEPARATE_RELABELINGS = 24
+INTERLEAVED_COLORINGS = 200
+INTERLEAVED_RELABELINGS = 120
 # Complete assignments the backtracking search tests before it gives up.
 DFS_BUDGET = 200_000
 
 
-def _dfs_orders(
-    code: CssCode,
-    kind: str,
-    measured: list[int],
-    det: tuple[int, ...],
-    steps: int,
-) -> Coloring | None:
-    """Deterministic backtracking over minimum-step assignments, returning the
-    first one whose fault-derived errors pass the uniqueness check.
+def _search_colorings(graph, colorings: int, relabelings: int, cap: int, keep, accept):
+    """The one candidate loop of both searches. Attempt a colors ``graph`` by
+    DSATUR under the a-th shuffled priority. A coloring fixes the time order
+    only up to a permutation of the steps, so one that ``keep`` passes gives
+    its first ``relabelings`` slot relabelings as candidates. Returns the
+    first truthy ``accept(candidate)`` (None once ``colorings`` attempts or
+    ``cap`` candidates are spent) and the number of colorings made."""
+    tried = 0
+    for attempt in range(colorings):
+        coloring = dsatur_color(graph, shuffled_priority(len(graph.vertices), attempt))
+        if not keep(coloring):
+            continue
+        for perm in islice(permutations(range(coloring.num_colors)), relabelings):
+            found = accept(Coloring(graph, tuple(perm[c] for c in coloring.colors)))
+            tried += 1
+            if found or tried >= cap:
+                return found or None, attempt + 1
+    return None, colorings
+
+
+def _dfs_orders(graph: SchedulingGraph, supports: list[list[int]], steps: int, unique):
+    """Deterministic backtracking over ``steps``-step assignments of the
+    checks with these qubit ``supports``, rows in order and each row's steps
+    in ``permutations`` order. Returns the first of the first ``DFS_BUDGET``
+    whose visit orders pass ``unique``, as a coloring of ``graph``, or None.
 
     Used when greedy colorings exist but none of them (under any permutation
     of the time slots) satisfies the uniqueness condition.
     """
-    checks = code.checks(kind)
-    supports = [
-        [q for q in range(code.n) if (row >> q) & 1] for row in checks.rows
-    ]
-    rows = list(range(len(supports)))
-    graph = build_check_graph(code, kind)
-    assignment: list[tuple[int, ...] | None] = [None] * len(rows)
-    busy: set[tuple[int, int]] = set()
-    tested = 0
 
-    def candidates(row: int):
-        return permutations(range(steps), len(supports[row]))
+    def assignments(row: int, busy: frozenset):
+        if row == len(supports):
+            yield ()
+            return
+        for perm in permutations(range(steps), len(supports[row])):
+            cells = {(s, q) for q, s in zip(supports[row], perm)}
+            if busy.isdisjoint(cells):
+                for rest in assignments(row + 1, busy | cells):
+                    yield (perm, *rest)
 
-    def place(row: int, perm) -> bool:
-        placed = []
-        for q, s in zip(supports[row], perm):
-            if (s, q) in busy:
-                for key in placed:
-                    busy.discard(key)
-                return False
-            busy.add((s, q))
-            placed.append((s, q))
-        assignment[row] = perm
-        return True
-
-    def unplace(row: int):
-        for q, s in zip(supports[row], assignment[row]):
-            busy.discard((s, q))
-        assignment[row] = None
-
-    def solve(idx: int):
-        nonlocal tested
-        if idx == len(rows):
-            tested += 1
-            orders = {}
-            for row in measured:
-                pairs = sorted(zip(assignment[row], supports[row]))
-                orders[row] = [q for _, q in pairs]
-            residuals = _side_residuals(code, kind, measured, orders)
-            if not _collisions(code, kind, residuals, det):
-                return True
-            return None if tested < DFS_BUDGET else False
-        for perm in candidates(rows[idx]):
-            if place(rows[idx], perm):
-                result = solve(idx + 1)
-                if result:
-                    return True  # keep the winning placement intact
-                unplace(rows[idx])
-                if result is False:
-                    return False
-        return None
-
-    if not solve(0):
-        return None
-    colors = []
-    for q, _kind, row in graph.vertices:
-        step = assignment[row][supports[row].index(q)]
-        colors.append(step)
-    return Coloring(graph, tuple(colors))
+    for assignment in islice(assignments(0, frozenset()), DFS_BUDGET):
+        orders = [[q for _, q in sorted(zip(a, sup))] for a, sup in zip(assignment, supports)]
+        if unique(orders):
+            steps_of = (assignment[row][supports[row].index(q)] for q, _, row in graph.vertices)
+            return Coloring(graph, tuple(steps_of))
+    return None
 
 
 @dataclass
@@ -263,10 +240,10 @@ class ScheduleSearchResult:
     method: dict[str, str] | None = None  # per kind: 'dsatur' or 'backtracking'
 
 
-def find_fault_tolerant_schedule(code: CssCode, retries: int = 1000) -> ScheduleSearchResult:
-    """Search sequential schedules: DSATUR with reshuffled vertex orderings until
-    both check types admit a minimum coloring whose fault-derived errors all
-    have distinguishable syndromes."""
+def find_fault_tolerant_schedule(code: CssCode) -> ScheduleSearchResult:
+    """Search sequential schedules: per check type, minimum DSATUR colorings
+    and their slot relabelings until one's fault-derived errors all have
+    distinguishable syndromes, else exact backtracking."""
     measured = {"X": independent_rows(code.hx), "Z": independent_rows(code.hz)}
     colorings: dict[str, Coloring] = {}
     method: dict[str, str] = {}
@@ -274,43 +251,28 @@ def find_fault_tolerant_schedule(code: CssCode, retries: int = 1000) -> Schedule
     for kind in ("X", "Z"):
         graph = build_check_graph(code, kind)
         target = max(r.bit_count() for r in code.checks(kind).rows)
-        det = tuple(
-            code.checks("Z" if kind == "X" else "X").rows[j]
-            for j in measured["Z" if kind == "X" else "X"]
+        other = "Z" if kind == "X" else "X"
+        det = tuple(code.checks(other).rows[j] for j in measured[other])
+
+        def unique(orders) -> bool:
+            residuals = _side_residuals(code, kind, measured[kind], orders)
+            return not _collisions(code, kind, residuals, det)
+
+        found, attempts = _search_colorings(
+            graph, SEPARATE_CANDIDATES, SEPARATE_RELABELINGS, SEPARATE_CANDIDATES,
+            lambda coloring: coloring.num_colors <= target,
+            lambda candidate: unique(_orders_from_coloring(candidate)) and candidate,
         )
-        found = None
-        candidates = 0
-        for attempt in range(retries):
-            if candidates >= retries:
-                break
-            coloring = dsatur_color(graph, shuffled_priority(len(graph.vertices), attempt))
-            attempts_used += 1
-            if coloring.num_colors > target:
-                continue
-            # A coloring fixes the schedule only up to a permutation of the
-            # time slots; try a bounded number of slot relabelings.
-            for perm in islice(permutations(range(coloring.num_colors)), 24):
-                candidate = _permuted(coloring, perm)
-                orders = _orders_from_coloring(candidate)
-                residuals = _side_residuals(code, kind, measured[kind], orders)
-                candidates += 1
-                if not _collisions(code, kind, residuals, det):
-                    found = candidate
-                    break
-                if candidates >= retries:
-                    break
-            if found is not None:
-                break
+        attempts_used += attempts
         method[kind] = "dsatur"
         if found is None:
             # Greedy colorings can be structurally biased away from the
             # uniqueness condition; fall back to exact backtracking.
-            found = _dfs_orders(code, kind, measured[kind], det, target)
+            supports = [[q for q in range(code.n) if r >> q & 1] for r in code.checks(kind).rows]
+            found = _dfs_orders(graph, supports, target, unique)
             method[kind] = "backtracking"
         if found is None:
-            raise ScheduleSearchError(
-                f"no fault-tolerant {kind} coloring within {retries} attempts"
-            )
+            raise ScheduleSearchError(f"no fault-tolerant {kind} coloring within the budgets")
         colorings[kind] = found
     schedule = schedule_from_colorings(code, colorings["X"], colorings["Z"])
     properness = verify_properness(code, schedule)
@@ -340,31 +302,35 @@ class InterleavedSearchResult:
     unique: bool
 
 
-def find_interleaved_schedule(
-    code: CssCode, retries: int = 200, perms_per_coloring: int = 120
-) -> InterleavedSearchResult:
+def find_interleaved_schedule(code: CssCode) -> InterleavedSearchResult:
     """Best-effort search for an interleaved schedule that is valid, proper and
-    passes the uniqueness check. May legitimately fail for some codes."""
+    passes the uniqueness check. Properness is decided on each candidate
+    coloring; only a proper one is built into a schedule and checked for
+    unique syndromes. May legitimately fail for some codes."""
     graph = build_interleaved_graph(code)
-    best_colors = None
-    attempts = 0
-    best_proper = False
-    best_unique = False
-    for attempt in range(retries):
-        coloring = dsatur_color(graph, shuffled_priority(len(graph.vertices), attempt))
-        attempts += 1
-        if best_colors is None or coloring.num_colors < best_colors:
-            best_colors = coloring.num_colors
-        for perm in islice(permutations(range(coloring.num_colors)), perms_per_coloring):
-            schedule = schedule_from_interleaved_coloring(code, _permuted(coloring, perm))
-            if not verify_properness(code, schedule).ok:
-                continue
-            best_proper = True
-            if not verify_unique_syndromes(build_ec_circuit(code, schedule, rounds=1)).ok:
-                continue
-            best_unique = True
-            return InterleavedSearchResult(schedule, coloring.num_colors, attempts, True, True)
-    return InterleavedSearchResult(None, best_colors, attempts, best_proper, best_unique)
+    rule = properness_rule(code)
+    sizes: list[int] = []  # colors of each coloring made
+    proper = False
+
+    def keep(coloring: Coloring) -> bool:
+        sizes.append(coloring.num_colors)
+        return True
+
+    def passing(candidate: Coloring) -> CnotSchedule | None:
+        nonlocal proper
+        if not rule.is_proper(candidate.colors):
+            return None
+        proper = True
+        schedule = schedule_from_interleaved_coloring(code, candidate)
+        circuit = build_ec_circuit(code, schedule, rounds=1)
+        return schedule if verify_unique_syndromes(circuit).ok else None
+
+    schedule, attempts = _search_colorings(
+        graph, INTERLEAVED_COLORINGS, INTERLEAVED_RELABELINGS,
+        INTERLEAVED_COLORINGS * INTERLEAVED_RELABELINGS, keep, passing,
+    )
+    best_colors = schedule.steps if schedule else min(sizes, default=None)
+    return InterleavedSearchResult(schedule, best_colors, attempts, proper, schedule is not None)
 
 
 def builtin_schedule(name: str) -> CnotSchedule:

@@ -237,29 +237,54 @@ class PropernessReport:
         return not self.improper_pairs and not self.structure_violations
 
 
+@dataclass(frozen=True)
+class PropernessRule:
+    """Every X/Z check pair that shares qubits, read once from the code.
+
+    ``pairs`` holds each even-overlap pair as (x_row, z_row, shared qubits,
+    links), where a link is the (X incidence, Z incidence) index pair of one
+    shared qubit in ``incidences``, the interleaved graph's vertex order.
+    Pairs sharing an odd number of qubits are code-structure violations.
+    """
+
+    incidences: tuple[tuple[int, str, int], ...]
+    pairs: tuple[tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
+    structure_violations: tuple[tuple[int, int, int], ...]
+
+    def improper_pairs(self, times: Sequence[int]) -> Iterable[tuple[int, int, tuple[int, ...]]]:
+        """The pairs whose shared qubits do not all meet the X check first or
+        all meet the Z check first, given a time per incidence."""
+        for xi, zj, qubits, links in self.pairs:
+            if len({times[a] < times[b] for a, b in links}) != 1:
+                yield xi, zj, qubits
+
+    def is_proper(self, times: Sequence[int]) -> bool:
+        return not self.structure_violations and next(self.improper_pairs(times), None) is None
+
+
+def properness_rule(code: CssCode) -> PropernessRule:
+    incidences = tuple(_incidences(code, ("X", "Z")))
+    index = {(kind, row, q): i for i, (q, kind, row) in enumerate(incidences)}
+    pairs, structure = [], []
+    for xi, rx in enumerate(code.hx.rows):
+        for zj, rz in enumerate(code.hz.rows):
+            qubits = tuple(q for q in range(code.n) if (rx & rz) >> q & 1) if rx & rz else ()
+            if len(qubits) % 2:
+                structure.append((xi, zj, len(qubits)))
+            elif qubits:
+                links = tuple((index["X", xi, q], index["Z", zj, q]) for q in qubits)
+                pairs.append((xi, zj, qubits, links))
+    return PropernessRule(incidences, tuple(pairs), tuple(structure))
+
+
 def verify_properness(code: CssCode, schedule: CnotSchedule) -> PropernessReport:
     """Check that every X/Z check pair interacts with shared qubits in a
     consistent order (all X-first or all Z-first), so no measurement outcome
     is randomized. Pairs sharing an odd number of qubits are flagged as a
     code-structure violation."""
-    improper = []
-    structure = []
-    for xi, rx in enumerate(code.hx.rows):
-        for zj, rz in enumerate(code.hz.rows):
-            shared = rx & rz
-            w = shared.bit_count()
-            if w == 0:
-                continue
-            if w % 2 == 1:
-                structure.append((xi, zj, w))
-                continue
-            qubits = [q for q in range(code.n) if (shared >> q) & 1]
-            directions = {
-                schedule.step_of("X", xi, q) < schedule.step_of("Z", zj, q) for q in qubits
-            }
-            if len(directions) != 1:
-                improper.append((xi, zj, tuple(qubits)))
-    return PropernessReport(improper, structure)
+    rule = properness_rule(code)
+    times = [schedule.step_of(kind, row, q) for q, kind, row in rule.incidences]
+    return PropernessReport(list(rule.improper_pairs(times)), list(rule.structure_violations))
 
 
 def format_schedule(schedule: CnotSchedule) -> str:

@@ -95,10 +95,9 @@ class TestCodeInfo:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
         assert "--code and --complex-file are mutually exclusive" in res.output
 
-    @pytest.mark.parametrize("cap", [0, -1, 7, 30])
+    @pytest.mark.parametrize("cap", [0, -1])
     def test_bad_distance_cap_is_usage_error(self, runner, monkeypatch, cap):
-        # below 1, or more supports than MAX_SEARCH_SUPPORTS: refused before
-        # the kernel walk starts (SSD's default cap of 6 is 768,211 supports)
+        # a cap below 1 is refused before the kernel walk starts
         def refuse(*_args):
             raise AssertionError("the kernel walk started")
 
@@ -106,6 +105,30 @@ class TestCodeInfo:
         res = runner.invoke(main, ["code", "info", "--code", "ssd", "--distance-max", str(cap)])
         assert res.exit_code == 2, res.output
         assert "--distance-max" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("cap", [7, 30])
+    def test_distance_cap_past_the_bound_prints_d(self, runner, cap):
+        # the supports up to weight 7 pass MAX_SEARCH_SUPPORTS, but the walk
+        # finds both witnesses at weight 3 and never reaches the bound
+        res = runner.invoke(main, ["code", "info", "--code", "ssd", "--distance-max", str(cap)])
+        assert res.exit_code == 0, res.output
+        assert "d_z: 3" in res.output and "d_x: 3" in res.output
+
+    def test_torus4_default_distance_cap(self, runner, tmp_path):
+        path = tmp_path / "torus4.cplx"
+        path.write_text(toric_cplx(4, 4))
+        res = runner.invoke(main, ["code", "info", "--complex-file", str(path)])
+        assert res.exit_code == 0, res.output
+        assert "d_z: 4" in res.output and "d_x: 4" in res.output
+
+    def test_distance_walk_past_the_bound_is_usage_error(self, runner, monkeypatch):
+        # SSD's weight-2 supports (465) pass this bound before the weight-3
+        # witnesses: the refusal comes from the walk, at the weight it reaches
+        monkeypatch.setattr(codes, "MAX_SEARCH_SUPPORTS", 100)
+        res = runner.invoke(main, ["code", "info", "--code", "ssd"])
+        assert res.exit_code == 2, res.output
+        assert "--distance-max 6" in res.output and "up to weight 2" in res.output
         assert "Traceback" not in res.output
 
 
@@ -129,11 +152,20 @@ class TestSchedule:
         res = runner.invoke(
             main,
             ["schedule", "build", "--code", "ssd", "--mode", "interleaved",
-             "--retries", "3", "--out", str(tmp_path / "i.sched")],
+             "--out", str(tmp_path / "i.sched")],
         )
         assert res.exit_code == 1
         assert "sequential schedule remains" in res.output
         assert "best coloring" in res.output
+
+    @pytest.mark.parametrize("command", [
+        ["schedule", "build"], ["decoder", "build"], ["decoder", "dump"], ["sim", "verify"],
+        ["sim", "exact"], ["sim", "exrec", "--p", "1e-3"], ["sim", "lifetime", "--p", "1e-3"],
+    ])
+    def test_search_budget_is_not_an_option(self, runner, command):
+        res = runner.invoke(main, [*command, "--code", "surface17", "--retries", "3"])
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and "--retries" in res.output
 
     def test_verify_detects_bad_schedule(self, runner, tmp_path):
         from starqec.scheduling import save_schedule

@@ -69,6 +69,14 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line_no == line
 
 
+@pytest.mark.parametrize("count", [5, 200_000])
+def test_isolated_vertex_names_vertices_line(count):
+    # a vertex that meets no edge would be a weight-0 X check
+    text = f"# square\nvertices {count}\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
+    with pytest.raises(ComplexFormatError, match=f"^line 2: vertices {count}: vertex 4 meets no edge$"):
+        parse_complex(text)
+
+
 def test_ssd_complex_structure():
     c = small_stellated_dodecahedron_complex()
     assert (c.vertex_count, c.edge_count, c.face_count) == (12, 30, 12)

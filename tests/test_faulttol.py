@@ -5,7 +5,8 @@ import pytest
 
 from starqec import faulttol
 from starqec.circuits import build_ec_circuit
-from starqec.codes import independent_rows
+from starqec.codes import code_from_complex, get_builtin_code, independent_rows
+from starqec.complexes import parse_complex
 from starqec.engine import Simulator
 from starqec.faulttol import (
     builtin_schedule,
@@ -19,6 +20,7 @@ from starqec.faulttol import (
 from starqec.gf2 import RowSpace
 from starqec.scheduling import CnotSchedule, format_schedule, verify_properness
 
+from conftest import toric_cplx
 from oracles import check_order
 
 
@@ -171,8 +173,32 @@ class TestSearch:
         assert a.schedule == b.schedule
         assert a.attempts == b.attempts
 
+    @pytest.mark.parametrize("name,best", [("ssd", 5), ("surface17", 8), (3, 4), (4, 4)])
+    def test_interleaved_search_finds_nothing_at_default_budget(self, name, best):
+        # the l x l tori are built from their complex files
+        if isinstance(name, int):
+            code = code_from_complex(parse_complex(toric_cplx(name, name)))
+        else:
+            code = get_builtin_code(name)
+        start = time.perf_counter()
+        res = find_interleaved_schedule(code)
+        assert time.perf_counter() - start < 10.0
+        assert (res.schedule, res.best_colors, res.attempts) == (None, best, 200)
+        assert not res.proper and not res.unique
+
+    def test_interleaved_search_finds_square_patch_schedule(self):
+        # one weight-4 Z check over four weight-2 X checks: the 43rd coloring
+        # has a proper relabeling with unique syndromes
+        text = "vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
+        code = code_from_complex(parse_complex(text))
+        res = find_interleaved_schedule(code)
+        assert (res.best_colors, res.attempts, res.proper, res.unique) == (4, 43, True, True)
+        digest = hashlib.sha256(format_schedule(res.schedule).encode()).hexdigest()
+        assert digest.startswith("85070a5714895bb1")
+        assert verify_properness(code, res.schedule).ok
+
     def test_interleaved_search_smoke(self, s17_code):
-        res = find_interleaved_schedule(s17_code, retries=3, perms_per_coloring=12)
+        res = find_interleaved_schedule(s17_code)
         assert res.attempts >= 1
         if res.schedule is not None:
             assert verify_properness(s17_code, res.schedule).ok

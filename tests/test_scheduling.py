@@ -4,8 +4,11 @@ import pytest
 from starqec.codes import CssCode, code_from_complex
 from starqec.complexes import build_complex
 from starqec.gf2 import BitMatrix
+from itertools import islice, permutations
+
 from starqec.scheduling import (
     CnotSchedule,
+    Coloring,
     ScheduleError,
     SchedulingGraph,
     build_check_graph,
@@ -13,6 +16,7 @@ from starqec.scheduling import (
     dsatur_color,
     format_schedule,
     parse_schedule,
+    properness_rule,
     schedule_from_colorings,
     schedule_from_interleaved_coloring,
     shuffled_priority,
@@ -268,3 +272,60 @@ class TestProperness:
         sched = schedule_from_interleaved_coloring(hex_code, dsatur_color(g))
         assert sched.mode == "interleaved"
         sched.validate_against(hex_code)
+
+
+def direct_improper_pairs(code, schedule):
+    """The improper even-overlap pairs, read pair by pair from the schedule."""
+    out = []
+    for xi, rx in enumerate(code.hx.rows):
+        for zj, rz in enumerate(code.hz.rows):
+            qubits = tuple(q for q in range(code.n) if (rx & rz) >> q & 1)
+            if qubits and len(qubits) % 2 == 0 and len(
+                {schedule.step_of("X", xi, q) < schedule.step_of("Z", zj, q) for q in qubits}
+            ) != 1:
+                out.append((xi, zj, qubits))
+    return out
+
+
+class TestPropernessRule:
+    @pytest.mark.parametrize("fixture", ["hex_code", "s17_code", "ssd_code"])
+    def test_verdict_on_coloring_matches_built_schedule(self, fixture, request):
+        code = request.getfixturevalue(fixture)
+        rule = properness_rule(code)
+        verdicts = []
+
+        def agree(times, schedule):
+            report = verify_properness(code, schedule)
+            assert rule.is_proper(times) == report.ok
+            assert report.improper_pairs == direct_improper_pairs(code, schedule)
+            verdicts.append(report.ok)
+
+        def relabeled(coloring, count):
+            for perm in islice(permutations(range(coloring.num_colors)), count):
+                yield Coloring(coloring.graph, tuple(perm[c] for c in coloring.colors))
+
+        def colorings(graph, count):
+            return [dsatur_color(graph, shuffled_priority(len(graph.vertices), a))
+                    for a in range(count)]
+
+        # interleaved: DSATUR colorings and their first slot relabelings
+        graph = build_interleaved_graph(code)
+        for coloring in colorings(graph, 3):
+            for candidate in relabeled(coloring, 24):
+                agree(candidate.colors, schedule_from_interleaved_coloring(code, candidate))
+        # separate: X and Z colorings, each relabeled, Z steps after X steps
+        pairs = zip(colorings(build_check_graph(code, "X"), 3),
+                    colorings(build_check_graph(code, "Z"), 3))
+        for x, z in pairs:
+            for cx in relabeled(x, 4):
+                for cz in relabeled(z, 6):
+                    times = cx.colors + tuple(x.num_colors + c for c in cz.colors)
+                    agree(times, schedule_from_colorings(code, cx, cz))
+            # X then Z as one interleaved coloring, its slots rotated: X block
+            # first, Z block first, or a block split around the wrap
+            total = x.num_colors + z.num_colors
+            blocks = x.colors + tuple(x.num_colors + c for c in z.colors)
+            for shift in range(total):
+                rotated = tuple((t + shift) % total for t in blocks)
+                agree(rotated, schedule_from_interleaved_coloring(code, Coloring(graph, rotated)))
+        assert True in verdicts and False in verdicts
