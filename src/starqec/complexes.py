@@ -49,7 +49,6 @@ class CellComplex2D:
     edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted lexicographically
     faces: tuple[tuple[int, ...], ...]  # edge-index lists
     name: str = ""
-    schlafli: str = ""
 
     def __post_init__(self):
         seen = set()
@@ -100,7 +99,6 @@ def build_complex(
     faces_by_pairs: list[list[tuple[int, int]]] | None = None,
     faces_by_index: list[list[int]] | None = None,
     name: str = "",
-    schlafli: str = "",
 ) -> CellComplex2D:
     """Construct a complex with canonical edge ordering.
 
@@ -120,7 +118,7 @@ def build_complex(
         original = [(min(u, v), max(u, v)) for u, v in edges]
         for face in faces_by_index:
             faces.append(tuple(lookup[original[e]] for e in face))
-    return CellComplex2D(vertex_count, tuple(normalized), tuple(faces), name, schlafli)
+    return CellComplex2D(vertex_count, tuple(normalized), tuple(faces), name)
 
 
 def parse_complex(text: str, name: str = "") -> CellComplex2D:
@@ -231,12 +229,6 @@ def small_stellated_dodecahedron_complex() -> CellComplex2D:
     edges = sorted(
         (u, v) for u in ICOSAHEDRON_NEIGHBORS for v in ICOSAHEDRON_NEIGHBORS[u] if u < v
     )
-    faces_by_pairs = [_induced_cycle(ICOSAHEDRON_NEIGHBORS, w) for w in range(12)]
-    return build_complex(
-        12,
-        edges,
-        faces_by_pairs=faces_by_pairs,
-        name="small-stellated-dodecahedron",
-        schlafli="{5/2,5}",
-    )
+    faces = [_induced_cycle(ICOSAHEDRON_NEIGHBORS, w) for w in range(12)]
+    return build_complex(12, edges, faces_by_pairs=faces, name="small-stellated-dodecahedron")
 

@@ -93,13 +93,13 @@ def build_lookup_table(circuit: EcCircuit, kind: str) -> LookupTable:
 
     stabilizer = RowSpace.of_matrix(code.checks(kind))
     overridden = set()
-    for fr in enumerate_single_fault_errors(circuit, kind):
-        if fr.residual == 0 or fr.weight > 2:
+    for residual in enumerate_single_fault_errors(circuit, kind):
+        if residual == 0 or residual.bit_count() > 2:
             continue
-        current = corrections[fr.syndrome]
-        if not stabilizer.contains(current ^ fr.residual):
-            corrections[fr.syndrome] = fr.residual
-            overridden.add(fr.syndrome)
+        s = syndrome_bits(det, residual)
+        if not stabilizer.contains(corrections[s] ^ residual):
+            corrections[s] = residual
+            overridden.add(s)
 
     return LookupTable(
         kind=kind,

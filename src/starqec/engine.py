@@ -176,10 +176,10 @@ class Simulator:
             )
         # (iii) modified second criterion
         inputs = sorted({
-            (fr.residual, 0) if kind == "X" else (0, fr.residual)
+            (r, 0) if kind == "X" else (0, r)
             for kind in "XZ"
-            for fr in enumerate_single_fault_errors(self.unit_circuit, kind)
-            if fr.residual and fr.weight <= 2
+            for r in enumerate_single_fault_errors(self.unit_circuit, kind)
+            if r and r.bit_count() <= 2
         })
         frames = kernel.incoming(kernel.pack_residuals(inputs))
         checks = kernel.parity_table(self.code.hz.rows, self.code.hx.rows)

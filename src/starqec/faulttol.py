@@ -27,58 +27,31 @@ from .scheduling import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FaultResidual:
-    """Data error left by one fault, reduced modulo the check being measured."""
-
-    kind: str  # error type, 'X' or 'Z'
-    residual: int
-    syndrome: int  # ideal syndrome of the residual
-    loc_index: int
-    value: int
-
-    @property
-    def weight(self) -> int:
-        return self.residual.bit_count()
-
-
 @memoized_on_circuit
-def enumerate_single_fault_errors(circuit: EcCircuit, kind: str) -> tuple[FaultResidual, ...]:
-    """Residual ``kind``-type data errors of every single fault in the
-    one-round EC circuit ``circuit``.
+def enumerate_single_fault_errors(circuit: EcCircuit, kind: str) -> tuple[int, ...]:
+    """The distinct residual ``kind``-type data errors that single faults
+    leave in the one-round EC circuit ``circuit``, in the order the circuit's
+    (location, value) atoms first give them.
 
     Each fault (all 15 Paulis per CNOT, the prep/measurement flips, X/Y/Z per
-    idle) is read, location by location and value by value, from the
-    circuit's memoized signatures (``frames.compute_signatures``). The
-    residual is reduced modulo the check whose measurement hosted the fault,
-    so every entry has weight at most 2 for weight-5 checks. Memoized per
-    kind on the circuit, so the tables, the unique-syndrome check and
-    condition 1 share one enumeration per kind.
+    idle) is read from the circuit's memoized signatures
+    (``frames.compute_signatures``). The residual is reduced modulo the check
+    whose measurement hosted the fault, so every entry has weight at most 2
+    for weight-5 checks. Memoized per kind on the circuit, so the tables, the
+    unique-syndrome check and condition 1 share one enumeration per kind.
     """
-    det = detector_rows(circuit, kind)
     checks = circuit.code.checks(kind)
     signatures = compute_signatures(circuit)
-    syndromes: dict[int, int] = {}  # residual -> ideal syndrome
-    out = []
+    residuals: dict[int, None] = {}
     for loc_index, loc in enumerate(circuit.locations):
         owner = circuit.owner_check(loc)
-        reducer = checks.rows[owner[1]] if owner is not None and owner[0] == kind else None
-        for value, sig in enumerate(signatures.of_location(loc_index)):
+        reducer = checks.rows[owner[1]] if owner is not None and owner[0] == kind else 0
+        for sig in signatures.of_location(loc_index):
             residual = sig.x_res if kind == "X" else sig.z_res
-            if reducer is not None and (residual ^ reducer).bit_count() < residual.bit_count():
+            if (residual ^ reducer).bit_count() < residual.bit_count():
                 residual ^= reducer
-            if residual not in syndromes:
-                syndromes[residual] = syndrome_bits(det, residual)
-            out.append(
-                FaultResidual(
-                    kind=kind,
-                    residual=residual,
-                    syndrome=syndromes[residual],
-                    loc_index=loc_index,
-                    value=value,
-                )
-            )
-    return tuple(out)
+            residuals[residual] = None
+    return tuple(residuals)
 
 
 @dataclass(frozen=True)
@@ -116,9 +89,8 @@ def verify_unique_syndromes(circuit: EcCircuit) -> UniquenessReport:
     ``verify()`` share one run."""
     collisions = {}
     for kind in ("X", "Z"):
-        residuals = {fr.residual for fr in enumerate_single_fault_errors(circuit, kind)}
-        det = detector_rows(circuit, kind)
-        collisions[kind] = _collisions(circuit.code, kind, residuals, det)
+        residuals = set(enumerate_single_fault_errors(circuit, kind))
+        collisions[kind] = _collisions(circuit.code, kind, residuals, detector_rows(circuit, kind))
     return UniquenessReport(collisions)
 
 
@@ -236,7 +208,6 @@ class ScheduleSearchResult:
     colors_x: int
     colors_z: int
     attempts: int
-    uniqueness: UniquenessReport
     method: dict[str, str] | None = None  # per kind: 'dsatur' or 'backtracking'
 
 
@@ -278,8 +249,7 @@ def find_fault_tolerant_schedule(code: CssCode) -> ScheduleSearchResult:
     properness = verify_properness(code, schedule)
     if not properness.ok:
         raise ScheduleSearchError(f"sequential schedule unexpectedly improper: {properness}")
-    uniqueness = verify_unique_syndromes(build_ec_circuit(code, schedule, rounds=1))
-    if not uniqueness.ok:
+    if not verify_unique_syndromes(build_ec_circuit(code, schedule, rounds=1)).ok:
         raise ScheduleSearchError(
             "circuit-level uniqueness check disagrees with the order-level search"
         )
@@ -288,7 +258,6 @@ def find_fault_tolerant_schedule(code: CssCode) -> ScheduleSearchResult:
         colors_x=colorings["X"].num_colors,
         colors_z=colorings["Z"].num_colors,
         attempts=attempts_used,
-        uniqueness=uniqueness,
         method=method,
     )
 
@@ -299,7 +268,6 @@ class InterleavedSearchResult:
     best_colors: int | None
     attempts: int
     proper: bool
-    unique: bool
 
 
 def find_interleaved_schedule(code: CssCode) -> InterleavedSearchResult:
@@ -330,7 +298,7 @@ def find_interleaved_schedule(code: CssCode) -> InterleavedSearchResult:
         INTERLEAVED_COLORINGS * INTERLEAVED_RELABELINGS, keep, passing,
     )
     best_colors = schedule.steps if schedule else min(sizes, default=None)
-    return InterleavedSearchResult(schedule, best_colors, attempts, proper, schedule is not None)
+    return InterleavedSearchResult(schedule, best_colors, attempts, proper)
 
 
 def builtin_schedule(name: str) -> CnotSchedule:

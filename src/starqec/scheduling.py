@@ -78,13 +78,6 @@ class Coloring:
     def num_colors(self) -> int:
         return max(self.colors) + 1 if self.colors else 0
 
-    def is_valid(self) -> bool:
-        for v, nbrs in enumerate(self.graph.adjacency):
-            for u in nbrs:
-                if self.colors[u] == self.colors[v]:
-                    return False
-        return True
-
 
 def dsatur_color(g: SchedulingGraph, priority: Sequence[int] | None = None) -> Coloring:
     """Greedy saturation coloring.
@@ -201,13 +194,13 @@ class CnotSchedule:
 
 
 def _schedule(code: CssCode, mode: str, colorings) -> CnotSchedule:
-    """Schedule whose CNOTs sit at their colors' steps, each (coloring, label)
-    of ``colorings`` taking the steps after the previous one's."""
+    """Schedule whose CNOTs sit at their colors' steps, each coloring of
+    ``colorings`` taking the steps after the previous one's. A coloring that
+    puts two CNOTs of one qubit or one check on one step raises
+    ScheduleError naming the busy qubit or check."""
     cnots = []
     steps = 0
-    for coloring, label in colorings:
-        if not coloring.is_valid():
-            raise ScheduleError(f"invalid {label} coloring")
+    for coloring in colorings:
         for (q, kind, row), color in zip(coloring.graph.vertices, coloring.colors):
             cnots.append((steps + color + 1, kind, row, q))
         steps += coloring.num_colors
@@ -220,36 +213,34 @@ def schedule_from_colorings(
     code: CssCode, coloring_x: Coloring, coloring_z: Coloring
 ) -> CnotSchedule:
     """Sequential schedule: all X-check CNOT steps first, then all Z-check steps."""
-    return _schedule(code, "separate", ((coloring_x, "X"), (coloring_z, "Z")))
+    return _schedule(code, "separate", (coloring_x, coloring_z))
 
 
 def schedule_from_interleaved_coloring(code: CssCode, coloring: Coloring) -> CnotSchedule:
-    return _schedule(code, "interleaved", ((coloring, "interleaved"),))
+    return _schedule(code, "interleaved", (coloring,))
 
 
 @dataclass
 class PropernessReport:
     improper_pairs: list[tuple[int, int, tuple[int, ...]]]  # (x_row, z_row, shared qubits)
-    structure_violations: list[tuple[int, int, int]]  # (x_row, z_row, overlap size)
 
     @property
     def ok(self) -> bool:
-        return not self.improper_pairs and not self.structure_violations
+        return not self.improper_pairs
 
 
 @dataclass(frozen=True)
 class PropernessRule:
     """Every X/Z check pair that shares qubits, read once from the code.
 
-    ``pairs`` holds each even-overlap pair as (x_row, z_row, shared qubits,
-    links), where a link is the (X incidence, Z incidence) index pair of one
-    shared qubit in ``incidences``, the interleaved graph's vertex order.
-    Pairs sharing an odd number of qubits are code-structure violations.
+    ``pairs`` holds each such pair as (x_row, z_row, shared qubits, links),
+    where a link is the (X incidence, Z incidence) index pair of one shared
+    qubit in ``incidences``, the interleaved graph's vertex order. The
+    overlap is even: ``CssCode`` refuses a pair with an odd one.
     """
 
     incidences: tuple[tuple[int, str, int], ...]
     pairs: tuple[tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
-    structure_violations: tuple[tuple[int, int, int], ...]
 
     def improper_pairs(self, times: Sequence[int]) -> Iterable[tuple[int, int, tuple[int, ...]]]:
         """The pairs whose shared qubits do not all meet the X check first or
@@ -259,32 +250,29 @@ class PropernessRule:
                 yield xi, zj, qubits
 
     def is_proper(self, times: Sequence[int]) -> bool:
-        return not self.structure_violations and next(self.improper_pairs(times), None) is None
+        return next(self.improper_pairs(times), None) is None
 
 
 def properness_rule(code: CssCode) -> PropernessRule:
     incidences = tuple(_incidences(code, ("X", "Z")))
     index = {(kind, row, q): i for i, (q, kind, row) in enumerate(incidences)}
-    pairs, structure = [], []
+    pairs = []
     for xi, rx in enumerate(code.hx.rows):
         for zj, rz in enumerate(code.hz.rows):
-            qubits = tuple(q for q in range(code.n) if (rx & rz) >> q & 1) if rx & rz else ()
-            if len(qubits) % 2:
-                structure.append((xi, zj, len(qubits)))
-            elif qubits:
+            if rx & rz:
+                qubits = tuple(q for q in range(code.n) if (rx & rz) >> q & 1)
                 links = tuple((index["X", xi, q], index["Z", zj, q]) for q in qubits)
                 pairs.append((xi, zj, qubits, links))
-    return PropernessRule(incidences, tuple(pairs), tuple(structure))
+    return PropernessRule(incidences, tuple(pairs))
 
 
 def verify_properness(code: CssCode, schedule: CnotSchedule) -> PropernessReport:
     """Check that every X/Z check pair interacts with shared qubits in a
     consistent order (all X-first or all Z-first), so no measurement outcome
-    is randomized. Pairs sharing an odd number of qubits are flagged as a
-    code-structure violation."""
+    is randomized."""
     rule = properness_rule(code)
     times = [schedule.step_of(kind, row, q) for q, kind, row in rule.incidences]
-    return PropernessReport(list(rule.improper_pairs(times)), list(rule.structure_violations))
+    return PropernessReport(list(rule.improper_pairs(times)))
 
 
 def format_schedule(schedule: CnotSchedule) -> str:

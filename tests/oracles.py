@@ -6,6 +6,7 @@ import numpy as np
 
 from starqec.circuits import (
     CATEGORIES,
+    CATEGORY_OF,
     CNOT,
     MEAS_X,
     MEAS_Z,
@@ -22,10 +23,10 @@ from starqec.decoder import EcDecision, LookupTable, ec_decision
 from starqec.engine import Condition1Report, ExRecSweepReport, TrialResult
 from starqec.exact import malignant_cross, malignant_same_unit
 from starqec.faulttol import enumerate_single_fault_errors, syndrome_bits
-from starqec.frames import FaultSig, fault_injection
+from starqec.frames import FaultSig, fault_injection, signature_of
 from starqec.gf2 import BitMatrix, BitVector, RowSpace
 from starqec.kernel import _grid_blocks
-from starqec.scheduling import CnotSchedule
+from starqec.scheduling import CnotSchedule, Coloring
 
 
 def naive_rank(dense: np.ndarray) -> int:
@@ -168,6 +169,33 @@ def format_complex(c: CellComplex2D) -> str:
 def check_order(schedule: CnotSchedule, kind: str, row: int) -> list[tuple[int, int]]:
     """(step, qubit) pairs of one check, in time order."""
     return sorted((s, q) for s, k, r, q in schedule.cnots if k == kind and r == row)
+
+
+def is_valid_coloring(coloring: Coloring) -> bool:
+    """No two adjacent vertices of the coloring's graph share a color."""
+    colors = coloring.colors
+    return all(
+        colors[u] != colors[v] for v, nbrs in enumerate(coloring.graph.adjacency) for u in nbrs
+    )
+
+
+def single_fault_atoms(circuit: EcCircuit, kind: str) -> list[tuple[int, int, int]]:
+    """(location index, value, residual) of every single fault of the
+    one-round circuit, location by location and value by value. Each fault is
+    propagated on its own (``frames.signature_of``); its ``kind``-type data
+    residual is reduced modulo the check whose measurement hosted the fault."""
+    checks = circuit.code.checks(kind)
+    atoms = []
+    for loc_index, loc in enumerate(circuit.locations):
+        owner = circuit.owner_check(loc)
+        reducer = checks.rows[owner[1]] if owner is not None and owner[0] == kind else 0
+        for value in range(category_value_count(CATEGORY_OF[loc.kind])):
+            sig = signature_of(circuit, loc_index, value)
+            residual = sig.x_res if kind == "X" else sig.z_res
+            if (residual ^ reducer).bit_count() < residual.bit_count():
+                residual ^= reducer
+            atoms.append((loc_index, value, residual))
+    return atoms
 
 
 def icosahedron_triangles() -> list[tuple[int, int, int]]:
@@ -468,9 +496,9 @@ def scalar_condition1(sim):
     full_hz = sim.code.hz.rows
     inputs = set()
     for kind in ("X", "Z"):
-        for fr in enumerate_single_fault_errors(sim.unit_circuit, kind):
-            if fr.residual and fr.weight <= 2:
-                inputs.add((fr.residual, 0) if kind == "X" else (0, fr.residual))
+        for r in enumerate_single_fault_errors(sim.unit_circuit, kind):
+            if r and r.bit_count() <= 2:
+                inputs.add((r, 0) if kind == "X" else (0, r))
     correctability_cases = 0
     tx, tz = sim.tables["X"], sim.tables["Z"]
     for xin, zin in sorted(inputs):

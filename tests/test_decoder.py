@@ -102,9 +102,9 @@ class TestTableConstruction:
             for kind in ("X", "Z"):
                 stab = RowSpace.of_matrix(code.checks(kind))
                 table = tables[kind]
-                for fr in enumerate_single_fault_errors(circuit, kind):
-                    if fr.residual and fr.weight <= 2:
-                        assert stab.contains(table.correction(fr.syndrome) ^ fr.residual)
+                for r in enumerate_single_fault_errors(circuit, kind):
+                    if r and r.bit_count() <= 2:
+                        assert stab.contains(table.correction(table.syndrome_of(r)) ^ r)
 
     def test_requires_unique_syndromes(self, ssd_code):
         # inputs: a fresh circuit, and a circuit whose failing report is

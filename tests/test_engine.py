@@ -338,21 +338,19 @@ class TestVerification:
         table = ssd_sim.tables["Z"]
         stab = RowSpace.of_matrix(ssd_code.hz)
         target = replacement = None
-        for fr in enumerate_single_fault_errors(ssd_sim.unit_circuit, "Z"):
-            if fr.weight != 2:
+        for r in enumerate_single_fault_errors(ssd_sim.unit_circuit, "Z"):
+            if r.bit_count() != 2:
                 continue
             for a, b in combinations(range(30), 2):
                 e = (1 << a) | (1 << b)
-                if table.syndrome_of(e) == fr.syndrome and not stab.contains(
-                    e ^ fr.residual
-                ):
-                    target, replacement = fr, e
+                if table.syndrome_of(e) == table.syndrome_of(r) and not stab.contains(e ^ r):
+                    target, replacement = r, e
                     break
             if target:
                 break
         assert target is not None
         corr = list(table.corrections)
-        corr[target.syndrome] = replacement
+        corr[table.syndrome_of(target)] = replacement
         bad_table = dataclasses.replace(table, corrections=tuple(corr))
         sim2 = object.__new__(Simulator)
         sim2.__dict__.update(ssd_sim.__dict__)
@@ -441,13 +439,13 @@ def corrupted_sim(sim, code, kind):
     entry replaced by an inequivalent weight-2 error of the same syndrome."""
     table = sim.tables[kind]
     stab = RowSpace.of_matrix(code.checks(kind))
-    for fr in enumerate_single_fault_errors(sim.unit_circuit, kind):
-        if fr.weight != 2:
+    for r in enumerate_single_fault_errors(sim.unit_circuit, kind):
+        if r.bit_count() != 2:
             continue
         for a, b in combinations(range(code.n), 2):
             e = (1 << a) | (1 << b)
-            if table.syndrome_of(e) == fr.syndrome and not stab.contains(e ^ fr.residual):
-                return with_table_entry(sim, kind, fr.syndrome, e)
+            if table.syndrome_of(e) == table.syndrome_of(r) and not stab.contains(e ^ r):
+                return with_table_entry(sim, kind, table.syndrome_of(r), e)
     raise AssertionError(f"no {kind} table entry to corrupt")
 
 

@@ -10,7 +10,6 @@ from starqec.complexes import parse_complex
 from starqec.engine import Simulator
 from starqec.faulttol import (
     builtin_schedule,
-    detector_rows,
     enumerate_single_fault_errors,
     find_fault_tolerant_schedule,
     find_interleaved_schedule,
@@ -21,7 +20,7 @@ from starqec.gf2 import RowSpace
 from starqec.scheduling import CnotSchedule, format_schedule, verify_properness
 
 from conftest import toric_cplx
-from oracles import check_order
+from oracles import check_order, single_fault_atoms
 
 
 def reordered_ssd_schedule():
@@ -47,25 +46,23 @@ class TestEnumeration:
             circuit = build_ec_circuit(code, builtin_schedule(name), rounds=1)
             for kind in ("X", "Z"):
                 residuals = enumerate_single_fault_errors(circuit, kind)
-                assert max(fr.weight for fr in residuals) <= 2
+                assert max(r.bit_count() for r in residuals) <= 2
 
-    def test_count_matches_location_values(self, s17_code):
-        circuit = build_ec_circuit(s17_code, builtin_schedule("surface17"), rounds=1)
-        # one entry per (location, value) pair
-        expected = (
-            len(circuit.locations_of_category("cnot")) * 15
-            + len(circuit.locations_of_category("prep"))
-            + len(circuit.locations_of_category("meas"))
-            + len(circuit.locations_of_category("idle")) * 3
-        )
-        assert len(enumerate_single_fault_errors(circuit, "X")) == expected
-
-    def test_order_is_location_then_value(self, ssd_code):
-        # entries follow the circuit's locations, each location's values in order
-        circuit = build_ec_circuit(ssd_code, builtin_schedule("ssd"), rounds=1)
-        atoms = [(fr.loc_index, fr.value) for fr in enumerate_single_fault_errors(circuit, "X")]
-        assert atoms == sorted(atoms) and len(set(atoms)) == len(atoms)
-        assert [loc for loc, value in atoms if value == 0] == list(range(len(circuit.locations)))
+    @pytest.mark.parametrize("name", ["ssd", "surface17", 3, 4])
+    def test_table_is_distinct_atom_residuals(self, name):
+        # the table holds each atom's residual once, in the order the
+        # (location, value) atoms first give it; the l x l tori are built
+        # from their complex files with a searched schedule
+        if isinstance(name, int):
+            code = code_from_complex(parse_complex(toric_cplx(name, name)))
+            schedule = find_fault_tolerant_schedule(code).schedule
+        else:
+            code, schedule = get_builtin_code(name), builtin_schedule(name)
+        circuit = build_ec_circuit(code, schedule, rounds=1)
+        for kind in ("X", "Z"):
+            atoms = single_fault_atoms(circuit, kind)
+            want = tuple(dict.fromkeys(r for _loc, _value, r in atoms))
+            assert enumerate_single_fault_errors(circuit, kind) == want
 
     @pytest.mark.parametrize("name", ["ssd", "surface17"])
     def test_build_and_verify_enumerate_each_kind_once(self, monkeypatch, name):
@@ -93,16 +90,6 @@ class TestEnumeration:
         assert all(circuit is sim.unit_circuit for circuit in passes)
         assert sorted(groupings) == ["X", "Z"]
 
-    def test_syndromes_are_ideal(self, ssd_code):
-        circuit = build_ec_circuit(ssd_code, builtin_schedule("ssd"), rounds=1)
-        det = detector_rows(circuit, "Z")
-        for fr in enumerate_single_fault_errors(circuit, "Z"):
-            syn = 0
-            for i, row in enumerate(det):
-                if (row & fr.residual).bit_count() & 1:
-                    syn |= 1 << i
-            assert syn == fr.syndrome
-
     def test_circuit_enumeration_matches_closed_form(self, ssd_code):
         # the per-check suffix classes predict exactly the nonzero residuals
         # that circuit-level propagation produces
@@ -110,12 +97,8 @@ class TestEnumeration:
         measured = independent_rows(ssd_code.hz)
         orders = {r: [q for _s, q in check_order(sched, "Z", r)] for r in range(12)}
         predicted = _side_residuals(ssd_code, "Z", measured, orders)
-        enumerated = {
-            fr.residual
-            for fr in enumerate_single_fault_errors(build_ec_circuit(ssd_code, sched, 1), "Z")
-            if fr.residual
-        }
-        assert enumerated == predicted
+        enumerated = set(enumerate_single_fault_errors(build_ec_circuit(ssd_code, sched, 1), "Z"))
+        assert enumerated - {0} == predicted
 
 
 class TestUniqueness:
@@ -152,7 +135,7 @@ class TestSearch:
         assert res.colors_x == res.colors_z == 5
         assert res.method == {"X": "dsatur", "Z": "dsatur"}
         assert res.schedule.steps == 10
-        assert res.uniqueness.ok
+        assert verify_unique_syndromes(build_ec_circuit(ssd_code, res.schedule, 1)).ok
         assert verify_properness(ssd_code, res.schedule).ok
         # the search reproduces the shipped schedule on its third coloring
         assert res.schedule == builtin_schedule("ssd")
@@ -161,7 +144,7 @@ class TestSearch:
     def test_surface17_search(self, s17_code):
         res = find_fault_tolerant_schedule(s17_code)
         assert res.schedule.steps == 8
-        assert res.uniqueness.ok
+        assert verify_unique_syndromes(build_ec_circuit(s17_code, res.schedule, 1)).ok
         # pinned: the backtracking fallback finds this schedule after 84 colorings
         digest = hashlib.sha256(format_schedule(res.schedule).encode()).hexdigest()
         assert digest.startswith("50383921610dcc5f")
@@ -184,7 +167,7 @@ class TestSearch:
         res = find_interleaved_schedule(code)
         assert time.perf_counter() - start < 10.0
         assert (res.schedule, res.best_colors, res.attempts) == (None, best, 200)
-        assert not res.proper and not res.unique
+        assert not res.proper
 
     def test_interleaved_search_finds_square_patch_schedule(self):
         # one weight-4 Z check over four weight-2 X checks: the 43rd coloring
@@ -192,10 +175,11 @@ class TestSearch:
         text = "vertices 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\nface 0 1 2 3\n"
         code = code_from_complex(parse_complex(text))
         res = find_interleaved_schedule(code)
-        assert (res.best_colors, res.attempts, res.proper, res.unique) == (4, 43, True, True)
+        assert (res.best_colors, res.attempts, res.proper) == (4, 43, True)
         digest = hashlib.sha256(format_schedule(res.schedule).encode()).hexdigest()
         assert digest.startswith("85070a5714895bb1")
         assert verify_properness(code, res.schedule).ok
+        assert verify_unique_syndromes(build_ec_circuit(code, res.schedule, 1)).ok
 
     def test_interleaved_search_smoke(self, s17_code):
         res = find_interleaved_schedule(s17_code)

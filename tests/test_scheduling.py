@@ -24,7 +24,7 @@ from starqec.scheduling import (
 )
 from starqec.faulttol import builtin_schedule, find_fault_tolerant_schedule
 
-from oracles import from_rows
+from oracles import from_rows, is_valid_coloring
 
 
 def single_check_code(weight: int) -> CssCode:
@@ -77,13 +77,13 @@ class TestGraphs:
         assert len(g.vertices) == 3
         assert g.max_degree == 2
         coloring = dsatur_color(g)
-        assert coloring.num_colors == 3 and coloring.is_valid()
+        assert coloring.num_colors == 3 and is_valid_coloring(coloring)
 
     def test_path_two_colors(self):
         vertices = tuple((i, "X", 0) for i in range(4))
         adjacency = (frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2}))
         coloring = dsatur_color(SchedulingGraph(vertices, adjacency))
-        assert coloring.num_colors == 2 and coloring.is_valid()
+        assert coloring.num_colors == 2 and is_valid_coloring(coloring)
 
     def test_ssd_check_graph_shape(self, ssd_code):
         gx = build_check_graph(ssd_code, "X")
@@ -130,7 +130,7 @@ class TestGraphs:
                 tuple((i, "X", 0) for i in range(n)), tuple(frozenset(a) for a in adj)
             )
             coloring = dsatur_color(g, shuffled_priority(n, int(rng.integers(100))))
-            assert coloring.is_valid()
+            assert is_valid_coloring(coloring)
             assert coloring.num_colors <= g.max_degree + 1
 
     def test_coloring_count_at_least_max_check_weight(self, ssd_code, s17_code):
@@ -181,8 +181,18 @@ class TestSchedules:
         bad = dsatur_color(gx)
         bad = type(bad)(bad.graph, tuple(0 for _ in bad.colors))
         gz = build_check_graph(s17_code, "Z")
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="^check X0 busy twice in step 1$"):
             schedule_from_colorings(s17_code, bad, dsatur_color(gz))
+
+    def test_invalid_coloring_names_busy_qubit(self):
+        # two X checks sharing qubit 1; incidences (0,X0) (1,X0) (1,X1) (2,X1),
+        # each check's two colors distinct, qubit 1's two colors equal
+        code = CssCode(3, from_rows([[1, 1, 0], [0, 1, 1]]), BitMatrix(rows=(), cols=3), (), ())
+        gx, gz = build_check_graph(code, "X"), build_check_graph(code, "Z")
+        bad = Coloring(gx, (0, 1, 1, 0))
+        assert not is_valid_coloring(bad)
+        with pytest.raises(ScheduleError, match="^qubit 1 busy twice in step 2$"):
+            schedule_from_colorings(code, bad, dsatur_color(gz))
 
     def test_file_roundtrip(self, ssd_code):
         sched = builtin_schedule("ssd")
