@@ -23,7 +23,7 @@ from .scheduling import (
     schedule_from_colorings,
     schedule_from_interleaved_coloring,
     shuffled_priority,
-    verify_properness,
+    verify_properness,  # noqa: F401  (benchmarks/run.py wraps it here to trace it)
 )
 
 
@@ -246,9 +246,6 @@ def find_fault_tolerant_schedule(code: CssCode) -> ScheduleSearchResult:
             raise ScheduleSearchError(f"no fault-tolerant {kind} coloring within the budgets")
         colorings[kind] = found
     schedule = schedule_from_colorings(code, colorings["X"], colorings["Z"])
-    properness = verify_properness(code, schedule)
-    if not properness.ok:
-        raise ScheduleSearchError(f"sequential schedule unexpectedly improper: {properness}")
     if not verify_unique_syndromes(build_ec_circuit(code, schedule, rounds=1)).ok:
         raise ScheduleSearchError(
             "circuit-level uniqueness check disagrees with the order-level search"

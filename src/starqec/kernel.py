@@ -137,23 +137,16 @@ class EcKernel:
 
     def sample(self, rng: np.random.Generator, noise: NoiseModel, lanes: int) -> _Atoms:
         """One EC unit's faults per lane: per category, lane and atom row of
-        each fault. Every location fails independently with its category's
-        probability: a binomial count per lane, that many distinct locations
-        (a draw repeating one in its lane is redrawn; as this treats all
-        locations alike, the set is uniform), then uniform fault values."""
+        each fault, in (lane, location) order. Every location of every lane
+        fails independently with its category's probability q, which is a
+        Binomial(lanes * locations, q) count of failed (lane, location)
+        slots, a uniform set of that many distinct slots, then uniform
+        fault values. The work follows the faults, not the lanes."""
         out = []
         for cat, (n_loc, n_val) in zip(_CATEGORIES, self._sizes):
-            counts = rng.binomial(n_loc, noise.category_prob(cat), size=lanes)
-            lane = np.repeat(np.arange(lanes), counts)
-            loc = rng.integers(0, n_loc, size=lane.size) if lane.size else lane
-            multi = np.flatnonzero(counts[lane] > 1)
-            while multi.size:
-                key = lane[multi] * n_loc + loc[multi]
-                order = np.argsort(key, kind="stable")
-                repeat = order[1:][np.diff(key[order]) == 0]
-                if not repeat.size:
-                    break
-                loc[multi[repeat]] = rng.integers(0, n_loc, size=repeat.size)
+            slots = lanes * n_loc
+            failed = rng.binomial(slots, noise.category_prob(cat))
+            lane, loc = np.divmod(_distinct(rng, slots, failed), n_loc)
             if n_val > 1:
                 loc = loc * n_val + rng.integers(0, n_val, size=lane.size)
             out.append((lane, loc))
@@ -224,6 +217,22 @@ class EcKernel:
         return [(tuple(np.flatnonzero(row[:half]).tolist()),
                  tuple(np.flatnonzero(row[half:]).tolist())) for row in bits]
 
+
+def _distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``k`` distinct ints of [0, n), uniformly, sorted. It draws the fewer of
+    the chosen and the left-out ints, sorts them and redraws the repeats until
+    none is left (a rule alike for every int, so the set is uniform), and so
+    never draws more than n / 2 ints, whatever ``k`` is."""
+    m = min(k, n - k)
+    drawn = np.sort(rng.integers(0, n, size=m))
+    while (repeat := np.flatnonzero(drawn[1:] == drawn[:-1])).size:
+        drawn[repeat + 1] = rng.integers(0, n, size=repeat.size)
+        drawn.sort()
+    if m == k:
+        return drawn
+    chosen = np.ones(n, dtype=bool)
+    chosen[drawn] = False
+    return np.flatnonzero(chosen)
 
 
 def _grid_blocks(rows: int, cols: int):

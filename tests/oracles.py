@@ -415,14 +415,39 @@ def union_afflicted(res: TrialResult) -> tuple[int, ...]:
     return tuple(sorted(set(res.afflicted_x) | set(res.afflicted_z)))
 
 
-def all_lanes_batch(sim, noise, units, seed, point_idx, batch_idx, n_trials) -> int:
+def per_lane_sample(kernel, rng: np.random.Generator, noise: NoiseModel, lanes: int):
+    """``EcKernel.sample``'s faults drawn lane by lane, on another stream: per
+    category, a binomial count per lane, that many distinct locations (a
+    draw repeating one in its lane is redrawn), then uniform fault values."""
+    out = []
+    for cat, (_rows, (n_loc, n_val), _w) in zip(CATEGORIES, kernel.atom_tables):
+        counts = rng.binomial(n_loc, noise.category_prob(cat), size=lanes)
+        lane = np.repeat(np.arange(lanes), counts)
+        loc = rng.integers(0, n_loc, size=lane.size) if lane.size else lane
+        multi = np.flatnonzero(counts[lane] > 1)
+        while multi.size:
+            key = lane[multi] * n_loc + loc[multi]
+            order = np.argsort(key, kind="stable")
+            repeat = order[1:][np.diff(key[order]) == 0]
+            if not repeat.size:
+                break
+            loc[multi[repeat]] = rng.integers(0, n_loc, size=repeat.size)
+        if n_val > 1:
+            loc = loc * n_val + rng.integers(0, n_val, size=lane.size)
+        out.append((lane, loc))
+    return out
+
+
+def all_lanes_batch(sim, noise, units, seed, point_idx, batch_idx, n_trials, sample=None) -> int:
     """``Simulator._exrec_batch`` with every lane run through every unit,
-    each unit's faults drawn just before it runs."""
-    rng = fault_stream(seed, point_idx, units, batch_idx)
-    res = sim.kernel.zeros(n_trials)
+    each unit's faults drawn just before it runs, by ``sample(kernel, rng,
+    noise, lanes)`` (by default ``EcKernel.sample``)."""
+    kernel, rng = sim.kernel, fault_stream(seed, point_idx, units, batch_idx)
+    sample = sample or type(kernel).sample
+    res = kernel.zeros(n_trials)
     for _ in range(units):
-        res = sim.kernel.unit(res, sim.kernel.sample(rng, noise, n_trials))
-    return int(sim.kernel.fails(res).sum())
+        res = kernel.unit(res, sample(kernel, rng, noise, n_trials))
+    return int(kernel.fails(res).sum())
 
 
 def run_exrec_trial(sim, noise: NoiseModel, seed: int) -> TrialResult:

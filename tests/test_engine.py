@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import time
 import weakref
 from functools import reduce
 from itertools import combinations
@@ -52,6 +53,7 @@ from oracles import (
     faults_to_sigs,
     from_rows,
     lane_exact_c,
+    per_lane_sample,
     run_ec_unit,
     run_exrec_trial,
     run_lifetime,
@@ -262,6 +264,43 @@ class TestKernel:
             pairs = (hit & np.roll(hit, -1, axis=1)).sum(axis=1)
             se = pairs.std(ddof=1) / math.sqrt(lanes)
             assert abs(pairs.mean() - n_loc * q * q) <= 5 * se
+
+    def test_sampler_every_location_at_full_noise(self, s17_sim):
+        # every location failing (q = 1 in every category; NoiseModel(1.0)
+        # gives q = 1 to CNOTs only): every lane holds every location once,
+        # in (lane, location) order, and the fault values are uniform within
+        # 5 sigma. The sampler draws the empty complement and keeps the rest.
+        everything = SimpleNamespace(category_prob=lambda cat: 1.0)
+        lanes = 8192
+        atoms = s17_sim.kernel.sample(fault_stream(2026, 8), everything, lanes)
+        for cat, (lane, row) in zip(_CATEGORIES, atoms):
+            n_loc, n_val = len(s17_sim.signatures.by_category[cat][0]), category_value_count(cat)
+            assert np.array_equal(lane * n_loc + row // n_val, np.arange(lanes * n_loc))
+            per_value = np.bincount(row % n_val, minlength=n_val)
+            n, qv = lanes * n_loc, 1 / n_val
+            assert np.all(np.abs(per_value - n * qv) <= 5 * math.sqrt(n * qv * (1 - qv)))
+
+    @pytest.mark.parametrize("p", [1e-3, 0.05, 0.9])
+    def test_sampler_lane_counts_binomial(self, p, ssd_sim):
+        # each lane's fault count per category follows Binomial(locations,
+        # q) within 5 sigma per count, the counts expected in fewer than 20
+        # lanes pooled into a tail bin at each end. At p = 0.9 the CNOT,
+        # prep and measurement q pass 1/2, where the sampler draws the
+        # locations that do not fail.
+        noise, lanes = NoiseModel(p), 20_000
+        atoms = ssd_sim.kernel.sample(fault_stream(2026, 9), noise, lanes)
+        for cat, (lane, _row) in zip(_CATEGORIES, atoms):
+            n_loc, q = len(ssd_sim.signatures.by_category[cat][0]), noise.category_prob(cat)
+            seen = np.bincount(np.bincount(lane, minlength=lanes), minlength=n_loc + 1)
+            pmf = np.array([math.exp(math.lgamma(n_loc + 1) - math.lgamma(j + 1)
+                                     - math.lgamma(n_loc - j + 1) + j * math.log(q)
+                                     + (n_loc - j) * math.log1p(-q)) for j in range(n_loc + 1)])
+            lo, hi = np.flatnonzero(lanes * pmf >= 20)[[0, -1]]
+            bins = [(0, lo + 1), *((j, j + 1) for j in range(lo + 1, hi)), (hi, n_loc + 1)]
+            for a, b in bins:
+                want = pmf[a:b].sum()
+                sigma = math.sqrt(lanes * want * (1 - want))
+                assert abs(seen[a:b].sum() - lanes * want) <= 5 * sigma, (cat, a, b)
 
     @pytest.mark.parametrize("code", ["surface17", "ssd"])
     def test_renewal_premise(self, code, ssd_sim, s17_sim):
@@ -580,6 +619,29 @@ class TestTrials:
                 s17_sim.estimate_pl(*args, threads=threads)
         assert sizes == [3]
 
+    @pytest.mark.parametrize("code", ["surface17", "ssd"])
+    def test_pl_agrees_with_per_lane_stream(self, code, ssd_sim, s17_sim):
+        # drawing a batch's faults by total count changed estimate_pl's
+        # stream, not its law: p_L agrees within 5 sigma with every lane run
+        # on faults drawn lane by lane (oracles.per_lane_sample), on
+        # another seed
+        sim = ssd_sim if code == "ssd" else s17_sim
+        batches, ps = 32, [1e-3, 3e-3]
+        n = batches * 8192
+        for point_idx, got in enumerate(sim.estimate_pl(ps, n, seed=71)):
+            want = sum(all_lanes_batch(sim, NoiseModel(got.p), 2, 72, point_idx, b, 8192,
+                                       per_lane_sample) for b in range(batches)) / n
+            se = math.sqrt((got.p_l * (1 - got.p_l) + want * (1 - want)) / n)
+            assert abs(got.p_l - want) <= 5 * se, (got.p, got.p_l, want)
+
+    def test_dense_noise_batch_is_bounded(self, ssd_sim):
+        # the sampler's work does not grow as q nears 1: a batch of 8192 SSD
+        # exRecs at p = 0.999, nearly every location failing, runs in seconds
+        start = time.perf_counter()
+        failures = ssd_sim._exrec_batch(NoiseModel(0.999), 2, 1, 0, 0, 8192)
+        assert time.perf_counter() - start < 30
+        assert failures > 0.99 * 8192
+
     def test_cross_seed_agreement(self, s17_sim):
         # estimates from disjoint seeds agree within 3 combined standard errors
         n = 150_000
@@ -602,13 +664,14 @@ class TestTrials:
         assert a.c_ci[0] <= b.c_ci[1] and b.c_ci[0] <= a.c_ci[1]
 
 
-# estimate_pl([3e-4, 1e-3, 3e-3], 50_000, seed=7, mode=...) failure counts
-# with every lane run through every unit
+# estimate_pl([3e-4, 1e-3, 3e-3], 50_000, seed=7, mode=...) failure counts,
+# summed over its batches of oracles.all_lanes_batch (every lane run through
+# every unit)
 PINNED_COUNTS = {
-    ("surface17", "exrec"): [19, 208, 1654],
-    ("surface17", "single"): [10, 84, 733],
-    ("ssd", "exrec"): [262, 2413, 15670],
-    ("ssd", "single"): [95, 1128, 7335],
+    ("surface17", "exrec"): [20, 221, 1671],
+    ("surface17", "single"): [5, 83, 713],
+    ("ssd", "exrec"): [239, 2506, 15794],
+    ("ssd", "single"): [97, 1077, 7473],
 }
 # (seed, p, batch index, trials) of the batches compared with the oracle
 ORACLE_BATCHES = [(1, 3e-4, 0, 8192), (2, 1e-3, 3, 5000), (3, 3e-3, 1, 777),
@@ -735,12 +798,13 @@ class TestLifetime:
         assert res.rounds_survived % 3 == 0
 
     @pytest.mark.parametrize("code, p, digest", [
-        ("surface17", 2e-2, "cf1d3d9618b64c383ba46cab9b10a0b1d9c1ab3d23c40bf2f97e7facf7ae2d1f"),
-        ("ssd", 5e-3, "fd27d82d1442db03b77b87dcef60746172cb94bcc6e0708ea06b6a8cce7a3ebd"),
-    ])
+        ("surface17", 2e-2, "7fb3f139bdc9873b96d169682a4a84ec1688a69f3f30cbe19a6961f56f6fbdeb"),
+        ("ssd", 5e-3, "28ef8532102dcf40fce2e3cbadcccf1991dfcb1b4e1d008480b49ce31595c4b6"),
+    ], ids=["surface17-0.02", "ssd-0.005"])
     def test_fast_trajectories_match_recorded(self, code, p, digest, ssd_sim, s17_sim):
         # SHA-256 of the repr of 100 trajectories' TrialResults as the scalar
-        # ideal decode reported them: rounds, and afflicted logicals per type
+        # unit and ideal decode (oracles.scalar_unit, scalar_decode) gave
+        # them on the same draws: rounds, and afflicted logicals per type
         # (SSD has trajectories with several logicals, and with both types)
         sim = ssd_sim if code == "ssd" else s17_sim
         results = [sim.run_lifetime_fast(NoiseModel(p), 3, t, 3000) for t in range(100)]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from starqec.codes import CssCode, code_from_complex
-from starqec.complexes import build_complex
+from starqec.codes import CssCode, code_from_complex, get_builtin_code
+from starqec.complexes import build_complex, parse_complex
 from starqec.gf2 import BitMatrix
 from itertools import islice, permutations
 
@@ -24,6 +24,7 @@ from starqec.scheduling import (
 )
 from starqec.faulttol import builtin_schedule, find_fault_tolerant_schedule
 
+from conftest import toric_cplx
 from oracles import from_rows, is_valid_coloring
 
 
@@ -235,6 +236,33 @@ class TestProperness:
     def test_separate_schedules_automatically_proper(self, ssd_code, s17_code):
         for name, code in (("ssd", ssd_code), ("surface17", s17_code)):
             assert verify_properness(code, builtin_schedule(name)).ok
+
+    @pytest.mark.parametrize("name", ["ssd", "surface17", "torus3", "torus4"])
+    def test_separate_schedules_from_random_colorings_proper(self, name):
+        # every X-check step of a separate schedule precedes every Z-check
+        # step, so any pair of checks meets its shared qubits X first:
+        # schedules built from random valid colorings (random vertex order,
+        # a random free color out of a few spare ones) are all proper
+        if name.startswith("torus"):
+            code = code_from_complex(parse_complex(toric_cplx(int(name[5:]), int(name[5:]))))
+        else:
+            code = get_builtin_code(name)
+        rng = np.random.default_rng(2020)
+
+        def random_coloring(graph):
+            colors = [-1] * len(graph.vertices)  # -1: not colored yet
+            palette = range(graph.max_degree + 1 + int(rng.integers(0, 3)))
+            for v in rng.permutation(len(colors)).tolist():
+                taken = {colors[u] for u in graph.adjacency[v]}
+                colors[v] = int(rng.choice([c for c in palette if c not in taken]))
+            coloring = Coloring(graph, tuple(colors))
+            assert is_valid_coloring(coloring)
+            return coloring
+
+        gx, gz = build_check_graph(code, "X"), build_check_graph(code, "Z")
+        for _ in range(20):
+            schedule = schedule_from_colorings(code, random_coloring(gx), random_coloring(gz))
+            assert verify_properness(code, schedule).ok
 
     def test_improper_interleaving_detected(self):
         # X and Z check sharing qubits {0,1}: qubit 0 sees X then Z while
